@@ -4,22 +4,25 @@
 //!
 //! Workload: 200 slots × 20 requests on the paper's 99-segment video —
 //! 4 000 `schedule_request` calls, each placing or sharing 99 segment
-//! instances. Three configurations:
+//! instances. Three configurations, all measured in the same run:
 //!
-//! * **pre-instrumentation** — the recorded baseline of this exact
-//!   workload measured on the commit *before* the journal emission points
-//!   were added to `DhbScheduler` (best of 15 on the reference machine).
 //! * **noop journal** — the shipping default: emission points present, a
 //!   disabled [`Journal`] attached. The only added work is one branch per
-//!   emission point; the acceptance bound is ≤ 5 % over the baseline.
+//!   emission point.
 //! * **ring journal** — a full [`Journal::enabled`] sink: every decision
 //!   constructs an event and pushes it into the ring (evicting at
 //!   capacity), the worst case a `vodsim trace` run pays.
 //! * **sampled ring** — the ring with the hot per-segment kinds sampled
 //!   1-in-64 via [`Journal::set_sampling`]: counts stay exact, the ring
 //!   keeps a representative slice, and a sampled-out emission never
-//!   constructs its event. The acceptance bound is ≤ 10 % over the
-//!   baseline — the mode a long-lived service can afford to leave on.
+//!   constructs its event (but still counts it with an atomic add).
+//!
+//! The table states the ring and sampled rows as ratios over the noop row,
+//! so it compares nothing across hosts. The two asserts still hold both
+//! configurations to their historical bounds over a recorded
+//! pre-instrumentation time; since the latest-instance index made
+//! `schedule_request` several times cheaper, they pass by a wide margin
+//! and no longer bound the journal's cost.
 //!
 //! Timing is best-of-15 after 3 warm-up cycles; best-of is robust to
 //! scheduler jitter on shared machines. Results land in
@@ -35,7 +38,8 @@ use vod_types::Slot;
 
 /// Best-of-15 ns per `schedule_request` on the reference machine, measured
 /// on the same workload *before* any emission point existed in the
-/// scheduler (recorded in this file's history; see DESIGN.md §10).
+/// scheduler, and with the window-scan kernel (see DESIGN.md §10). Used
+/// only by the historical bounds below.
 const PRE_INSTRUMENTATION_NS: f64 = 6337.0;
 
 /// The acceptance bound: a disabled journal may cost at most 5 %.
@@ -99,32 +103,18 @@ fn main() {
     }
     let sampled_ns = measure(Some(&sampled));
 
-    let vs_baseline = |ns: f64| (ns / PRE_INSTRUMENTATION_NS - 1.0) * 100.0;
-    let mut table = Table::new(vec![
-        "configuration",
-        "ns/request",
-        "vs pre-instrumentation %",
-    ]);
-    table.push_row(vec![
-        "pre-instrumentation (recorded)".to_owned(),
-        format!("{PRE_INSTRUMENTATION_NS:.1}"),
-        "0.00".to_owned(),
-    ]);
-    table.push_row(vec![
-        "noop journal (default)".to_owned(),
-        format!("{noop_ns:.1}"),
-        format!("{:+.2}", vs_baseline(noop_ns)),
-    ]);
-    table.push_row(vec![
-        "ring journal (trace runs)".to_owned(),
-        format!("{ring_ns:.1}"),
-        format!("{:+.2}", vs_baseline(ring_ns)),
-    ]);
-    table.push_row(vec![
-        "sampled ring (1-in-64 hot kinds)".to_owned(),
-        format!("{sampled_ns:.1}"),
-        format!("{:+.2}", vs_baseline(sampled_ns)),
-    ]);
+    let mut table = Table::new(vec!["configuration", "ns/request", "× noop (same run)"]);
+    for (name, ns) in [
+        ("noop journal (default)", noop_ns),
+        ("ring journal (trace runs)", ring_ns),
+        ("sampled ring (1-in-64 hot kinds)", sampled_ns),
+    ] {
+        table.push_row(vec![
+            name.to_owned(),
+            format!("{ns:.1}"),
+            format!("{:.2}", ns / noop_ns),
+        ]);
+    }
     vod_bench::emit(
         "obs_overhead",
         "Observability overhead: ns per schedule_request, 99 segments, 20 req/slot × 200 slots",
@@ -145,8 +135,10 @@ fn main() {
     );
     println!(
         "[overhead check passed: noop {noop_ns:.1} ns/request within {:.0}%, sampled ring \
-         {sampled_ns:.1} ns within {:.0}% of the pre-instrumentation {PRE_INSTRUMENTATION_NS:.1} ns]",
+         {sampled_ns:.1} ns within {:.0}% of the pre-instrumentation {PRE_INSTRUMENTATION_NS:.1} ns; \
+         sampled ring costs {:.2}× noop in this run]",
         NOOP_OVERHEAD_BOUND * 100.0,
-        SAMPLED_OVERHEAD_BOUND * 100.0
+        SAMPLED_OVERHEAD_BOUND * 100.0,
+        sampled_ns / noop_ns
     );
 }

@@ -49,31 +49,80 @@ impl SlotHeuristic {
     /// Panics if the window is empty.
     #[must_use]
     pub fn pick(self, loads: &[u32], entropy: u64) -> usize {
-        assert!(!loads.is_empty(), "cannot pick from an empty window");
-        let last = loads.len() - 1;
+        self.pick_capped(loads.iter().copied().enumerate(), None, entropy)
+            .expect("cannot pick from an empty window")
+            .0
+    }
+
+    /// Allocation-free [`pick`](Self::pick) over `(ring offset, load)`
+    /// candidates (earliest first), honouring a soft load `cap`: the
+    /// heuristic chooses among the candidates below the cap, or among all of
+    /// them when none is. Returns the chosen offset and whether the cap
+    /// overflowed, or `None` if there are no candidates. Only
+    /// [`Random`](Self::Random) walks the candidates twice.
+    pub(crate) fn pick_capped<I>(
+        self,
+        candidates: I,
+        cap: Option<u32>,
+        entropy: u64,
+    ) -> Option<(usize, bool)>
+    where
+        I: Iterator<Item = (usize, u32)> + Clone,
+    {
+        let under = |load: u32| cap.is_none_or(|cap| load < cap);
         match self {
-            SlotHeuristic::MinLoadLatest => {
-                let mut best = 0;
-                for (idx, &load) in loads.iter().enumerate() {
-                    // `>=` moves ties to the later slot.
-                    if load <= loads[best] {
-                        best = idx;
+            SlotHeuristic::MinLoadLatest | SlotHeuristic::MinLoadEarliest => {
+                // The min-load slot is below the cap whenever any slot is, so
+                // the cap only decides whether this placement overflows.
+                let latest = self == SlotHeuristic::MinLoadLatest;
+                let (off, load) = candidates.reduce(|best, c| {
+                    // Only the paper's rule moves ties to the later slot.
+                    if c.1 < best.1 || (latest && c.1 == best.1) {
+                        c
+                    } else {
+                        best
+                    }
+                })?;
+                Some((off, !under(load)))
+            }
+            SlotHeuristic::LatestPossible => {
+                let (mut last, mut last_under) = (None, None);
+                for (off, load) in candidates {
+                    last = Some(off);
+                    if under(load) {
+                        last_under = Some(off);
                     }
                 }
-                best
+                let last = last?;
+                Some(last_under.map_or((last, true), |off| (off, false)))
             }
-            SlotHeuristic::MinLoadEarliest => {
-                let mut best = 0;
-                for (idx, &load) in loads.iter().enumerate() {
-                    if load < loads[best] {
-                        best = idx;
+            SlotHeuristic::EarliestPossible => {
+                let mut first = None;
+                for (off, load) in candidates {
+                    if under(load) {
+                        return Some((off, false));
                     }
+                    first.get_or_insert(off);
                 }
-                best
+                first.map(|off| (off, true))
             }
-            SlotHeuristic::LatestPossible => last,
-            SlotHeuristic::EarliestPossible => 0,
-            SlotHeuristic::Random => (entropy % loads.len() as u64) as usize,
+            SlotHeuristic::Random => {
+                let (all, below) = candidates
+                    .clone()
+                    .fold((0u64, 0u64), |(all, below), (_, load)| {
+                        (all + 1, below + u64::from(under(load)))
+                    });
+                let overflow = below == 0;
+                let pool = if overflow { all } else { below };
+                if pool == 0 {
+                    return None;
+                }
+                let k = (entropy % pool) as usize;
+                let (off, _) = candidates
+                    .filter(|&(_, load)| overflow || under(load))
+                    .nth(k)?;
+                Some((off, overflow))
+            }
         }
     }
 }
@@ -127,6 +176,31 @@ mod tests {
         assert_ne!(
             SlotHeuristic::Random.pick(&loads, 1),
             SlotHeuristic::Random.pick(&loads, 2)
+        );
+    }
+
+    #[test]
+    fn cap_restricts_the_pool_or_overflows() {
+        let loads = [2u32, 0, 3, 1, 2];
+        let pick = |h: SlotHeuristic, cap, entropy| {
+            h.pick_capped(loads.iter().copied().enumerate(), Some(cap), entropy)
+        };
+        // Below-cap pool {1, 3} at cap 2.
+        assert_eq!(pick(SlotHeuristic::MinLoadLatest, 2, 0), Some((1, false)));
+        assert_eq!(pick(SlotHeuristic::LatestPossible, 2, 0), Some((3, false)));
+        assert_eq!(
+            pick(SlotHeuristic::EarliestPossible, 2, 0),
+            Some((1, false))
+        );
+        assert_eq!(pick(SlotHeuristic::Random, 2, 3), Some((3, false)));
+        // Nothing below cap 1 except slot 1; nothing at all below cap 0.
+        assert_eq!(pick(SlotHeuristic::LatestPossible, 1, 0), Some((1, false)));
+        assert_eq!(pick(SlotHeuristic::LatestPossible, 0, 0), Some((4, true)));
+        assert_eq!(pick(SlotHeuristic::MinLoadEarliest, 0, 0), Some((1, true)));
+        assert_eq!(pick(SlotHeuristic::Random, 0, 7), Some((2, true)));
+        assert_eq!(
+            SlotHeuristic::Random.pick_capped(std::iter::empty(), None, 1),
+            None
         );
     }
 

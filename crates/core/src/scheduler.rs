@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 use vod_obs::{Event, EventKind, Journal};
 use vod_types::{SegmentId, Slot};
@@ -18,8 +19,8 @@ const INLINE_BITS: usize = 128;
 /// for the bit mask. Larger catalogs spill the remaining bits to a boxed
 /// slice sized once at construction (empty, hence allocation-free, for small
 /// `n`). The `idx < INLINE_BITS` test in [`get`](Self::get) compares against
-/// a constant, so the hot window scan stays branch-predictable and
-/// bounds-check-free.
+/// a constant, so window scans (client-limit mode and the index's fallback)
+/// stay branch-predictable and bounds-check-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SegmentSet {
     inline: [u64; 2],
@@ -51,6 +52,11 @@ impl SegmentSet {
         } else {
             self.spill[(idx - INLINE_BITS) / 64] |= 1u64 << (idx % 64);
         }
+    }
+
+    fn clear(&mut self) {
+        self.inline = [0; 2];
+        self.spill.fill(0);
     }
 
     /// Set bits in ascending index order, via per-word `trailing_zeros` scan.
@@ -92,6 +98,18 @@ impl SlotPlan {
             retries: vec![0; n],
             load: 0,
         }
+    }
+
+    /// Empties the plan for reuse as a future slot. The entries of the
+    /// segments it carried are zeroed, so every unscheduled entry reads as
+    /// in a fresh plan.
+    fn clear(&mut self) {
+        for idx in self.scheduled.iter_ones() {
+            self.deadline[idx] = 0;
+            self.retries[idx] = 0;
+        }
+        self.scheduled.clear();
+        self.load = 0;
     }
 
     fn segments(&self) -> Vec<SegmentId> {
@@ -166,8 +184,10 @@ pub struct ScheduledSegment {
 ///
 /// The scheduler maintains a ring of future slots; slot `base` is the next
 /// slot to be transmitted. [`schedule_request`](DhbScheduler::schedule_request)
-/// implements the algorithm verbatim: for each segment, search the window
-/// for an existing instance, otherwise place a new one per the heuristic.
+/// implements the algorithm: for each segment, share the latest existing
+/// instance in the window, otherwise place a new one per the heuristic. A
+/// per-segment index of the latest instance answers the sharing question
+/// without scanning the window (DESIGN §4.2).
 /// [`pop_slot`](DhbScheduler::pop_slot) advances time and yields the slot's
 /// transmissions.
 ///
@@ -200,6 +220,11 @@ pub struct DhbScheduler {
     ring: VecDeque<SlotPlan>,
     /// Index of the next slot to transmit.
     base: u64,
+    /// `latest[j-1]`: one past the latest absolute slot any instance of
+    /// `S_j` was ever placed in, 0 if none. Never lowered: instances leave
+    /// the ring only by being popped, so an instance at that slot is still
+    /// planned whenever the slot is `≥ base`, and none is planned later.
+    latest: Vec<u64>,
     /// Cheap xorshift state for the random heuristic.
     entropy: u64,
     /// Optional per-client receive limit: a request may download at most
@@ -289,6 +314,7 @@ impl DhbScheduler {
             heuristic,
             ring: VecDeque::new(),
             base: 0,
+            latest: vec![0; n],
             entropy: 0x9E37_79B9_7F4A_7C15,
             client_limit: None,
             load_cap: None,
@@ -503,158 +529,163 @@ impl DhbScheduler {
         let start_off = (arrival.index() + 1 - self.base) as usize;
         self.ensure_ring(start_off + self.max_period as usize);
 
-        // This request's receive load per ring offset (client-limit mode).
-        let mut client_load = vec![0u32; start_off + self.max_period as usize];
+        // This request's receive load per ring offset (client-limit mode
+        // only; empty otherwise).
+        let mut client_load = match self.client_limit {
+            Some(_) => vec![0u32; start_off + self.max_period as usize],
+            None => Vec::new(),
+        };
 
         let mut out = Vec::with_capacity(self.n);
         for j in 1..=self.n {
             let seg = SegmentId::new(j).expect("j >= 1");
             let t = self.periods[j - 1] as usize;
             let window = start_off..start_off + t;
-
-            let client_ok = |off: usize, client_load: &[u32]| match self.client_limit {
-                Some(limit) => client_load[off] < limit,
-                None => true,
-            };
-
-            // Paper: "search slots i+1 to i+T[j] for an already scheduled
-            // instance of S_j". With a client receive limit, only instances
-            // in slots the client can still listen to are shareable; prefer
-            // the latest such instance.
-            let mut existing_any = false;
-            let mut shareable: Option<usize> = None;
-            for (rel, plan) in self.ring.range(window.clone()).enumerate() {
-                if plan.scheduled.get(j - 1) {
-                    existing_any = true;
-                    let off = start_off + rel;
-                    if client_ok(off, &client_load) {
-                        shareable = Some(off);
-                    }
-                }
-            }
             // The latest slot any dependent of this instance can accept:
             // this request's window ends at arrival + T[j].
             let deadline = arrival.index() + t as u64;
 
-            if let Some(off) = shareable {
-                self.shared_instances += 1;
-                client_load[off] += 1;
-                let plan = &mut self.ring[off];
-                plan.deadline[j - 1] = plan.deadline[j - 1].min(deadline);
-                let load = plan.load;
-                let slot = self.base + off as u64;
-                self.journal
-                    .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
-                        segment: j as u32,
-                        shared: true,
-                        window_start: arrival.index() + 1,
-                        window_end: deadline,
-                        slot,
-                        load,
-                    });
-                out.push(ScheduledSegment {
-                    segment: seg,
-                    slot: Slot::new(slot),
-                    newly_scheduled: false,
-                });
-                continue;
-            }
-
-            // "let m_min := min {m_k}; let k_max := max {k | m_k = m_min};
-            // schedule one instance of S_j in slot k_max" — generalised to
-            // the pluggable heuristic, restricted to slots the client can
-            // listen to, and steered away from slots at the load cap when
-            // the window offers an alternative.
-            let candidates: Vec<(usize, u32)> = self
-                .ring
-                .range(window.clone())
-                .enumerate()
-                .map(|(rel, plan)| (start_off + rel, plan.load))
-                .filter(|&(off, _)| client_ok(off, &client_load))
-                .collect();
-            assert!(
-                !candidates.is_empty(),
-                "no client-feasible slot for {seg} in window of {t}: \
-                 the client limit admits at most one segment per slot and \
-                 periods must be non-decreasing for feasibility"
-            );
-            let pool: Vec<(usize, u32)> = match self.load_cap {
-                Some(cap) => {
-                    let under: Vec<(usize, u32)> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&(_, load)| load < cap)
-                        .collect();
-                    if under.is_empty() {
-                        self.cap_overflows += 1;
-                        candidates
-                    } else {
-                        under
+            // Paper: "search slots i+1 to i+T[j] for an already scheduled
+            // instance of S_j", sharing the latest one. With a client
+            // receive limit, only instances in slots the client can still
+            // listen to are shareable, which takes a scan.
+            let mut existing_any = false;
+            let shareable = match self.client_limit {
+                None => self.latest_instance(j - 1, window.clone()),
+                Some(limit) => {
+                    let mut shareable = None;
+                    for (rel, plan) in self.ring.range(window.clone()).enumerate() {
+                        if plan.scheduled.get(j - 1) {
+                            existing_any = true;
+                            let off = start_off + rel;
+                            if client_load[off] < limit {
+                                shareable = Some(off);
+                            }
+                        }
                     }
+                    shareable
                 }
-                None => candidates,
             };
-            let loads: Vec<u32> = pool.iter().map(|&(_, load)| load).collect();
-            let entropy = self.next_entropy();
-            let chosen = self.heuristic.pick(&loads, entropy);
-            let ring_idx = pool[chosen].0;
-            if existing_any {
-                self.duplicate_instances += 1;
+
+            let off = match shareable {
+                Some(off) => {
+                    self.shared_instances += 1;
+                    let d = &mut self.ring[off].deadline[j - 1];
+                    *d = (*d).min(deadline);
+                    off
+                }
+                None => {
+                    // "let m_min := min {m_k}; let k_max := max {k | m_k =
+                    // m_min}; schedule one instance of S_j in slot k_max" —
+                    // generalised to the pluggable heuristic, restricted to
+                    // slots the client can listen to, and steered away from
+                    // slots at the load cap when the window offers an
+                    // alternative.
+                    let entropy = self.next_entropy();
+                    let limit = self.client_limit;
+                    let candidates = self
+                        .ring
+                        .range(window)
+                        .enumerate()
+                        .map(|(rel, plan)| (start_off + rel, plan.load))
+                        .filter(|&(off, _)| limit.is_none_or(|limit| client_load[off] < limit));
+                    let Some((off, overflow)) =
+                        self.heuristic
+                            .pick_capped(candidates, self.load_cap, entropy)
+                    else {
+                        panic!(
+                            "no client-feasible slot for {seg} in window of {t}: \
+                             the client limit admits at most one segment per slot and \
+                             periods must be non-decreasing for feasibility"
+                        )
+                    };
+                    if overflow {
+                        self.cap_overflows += 1;
+                    }
+                    if existing_any {
+                        self.duplicate_instances += 1;
+                    }
+                    self.plant(j - 1, off, deadline, 0);
+                    off
+                }
+            };
+            if self.client_limit.is_some() {
+                client_load[off] += 1;
             }
-            self.place_new(seg, ring_idx, deadline, &mut client_load, &mut out);
-            let load = self.ring[ring_idx].load;
-            let slot = self.base + ring_idx as u64;
+            let newly_scheduled = shareable.is_none();
+            let slot = self.base + off as u64;
             self.journal
                 .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
                     segment: j as u32,
-                    shared: false,
+                    shared: !newly_scheduled,
                     window_start: arrival.index() + 1,
                     window_end: deadline,
                     slot,
-                    load,
+                    load: self.ring[off].load,
                 });
+            out.push(ScheduledSegment {
+                segment: seg,
+                slot: Slot::new(slot),
+                newly_scheduled,
+            });
         }
         out
     }
 
-    /// Places a new instance of `seg` in ring slot `ring_idx`.
-    fn place_new(
-        &mut self,
-        seg: SegmentId,
-        ring_idx: usize,
-        deadline: u64,
-        client_load: &mut [u32],
-        out: &mut Vec<ScheduledSegment>,
-    ) {
-        let plan = &mut self.ring[ring_idx];
-        plan.scheduled.insert(seg.array_index());
-        plan.deadline[seg.array_index()] = deadline;
-        plan.retries[seg.array_index()] = 0;
+    /// The ring offset of the latest instance of segment `idx` (array
+    /// index) inside the ring offsets `window`, if any. O(1) from the
+    /// latest-instance index; only an instance planned beyond the window —
+    /// after an out-of-order arrival or a recovery — forces a scan.
+    fn latest_instance(&self, idx: usize, window: Range<usize>) -> Option<usize> {
+        let lo = self.base + window.start as u64;
+        let end = self.base + window.end as u64;
+        let latest_end = self.latest[idx];
+        if latest_end <= lo {
+            None
+        } else if latest_end <= end {
+            Some((latest_end - 1 - self.base) as usize)
+        } else {
+            self.ring
+                .range(window.clone())
+                .rposition(|plan| plan.scheduled.get(idx))
+                .map(|rel| window.start + rel)
+        }
+    }
+
+    /// Puts a new instance of segment `idx` (array index) into ring slot
+    /// `off`.
+    fn plant(&mut self, idx: usize, off: usize, deadline: u64, retries: u32) {
+        let plan = &mut self.ring[off];
+        plan.scheduled.insert(idx);
+        plan.deadline[idx] = deadline;
+        plan.retries[idx] = retries;
         plan.load += 1;
         self.new_instances += 1;
-        client_load[ring_idx] += 1;
-        out.push(ScheduledSegment {
-            segment: seg,
-            slot: Slot::new(self.base + ring_idx as u64),
-            newly_scheduled: true,
-        });
+        let end = self.base + off as u64 + 1;
+        self.latest[idx] = self.latest[idx].max(end);
     }
 
     /// Transmits the next slot: returns its segments and advances time.
     pub fn pop_slot(&mut self) -> (Slot, Vec<SegmentId>) {
         let slot = Slot::new(self.base);
         self.base += 1;
-        match self.ring.pop_front() {
+        // The previously popped plan is retired here; recycle it as the
+        // ring's new tail (or as this slot's plan when nothing is planned)
+        // instead of allocating a fresh one.
+        let spare = self.last_popped.take().map(|(_, mut plan)| {
+            plan.clear();
+            plan
+        });
+        let plan = match self.ring.pop_front() {
             Some(plan) => {
-                let segments = plan.segments();
-                self.last_popped = Some((slot.index(), plan));
-                (slot, segments)
+                self.ring.extend(spare);
+                plan
             }
-            None => {
-                self.last_popped = Some((slot.index(), SlotPlan::empty(self.n)));
-                (slot, Vec::new())
-            }
-        }
+            None => spare.unwrap_or_else(|| SlotPlan::empty(self.n)),
+        };
+        let segments = plan.segments();
+        self.last_popped = Some((slot.index(), plan));
+        (slot, segments)
     }
 
     /// Re-enters segment needs whose transmissions were dropped (lost,
@@ -689,6 +720,16 @@ impl DhbScheduler {
     /// slot, or if no slot has been popped yet — both indicate the caller
     /// fed back a transmission the scheduler never made.
     pub fn recover_dropped(&mut self, dropped: &[SegmentId]) {
+        self.recover_with(dropped, Self::replant);
+    }
+
+    /// [`recover_dropped`](Self::recover_dropped) with the share-or-place
+    /// step supplied, so tests can drive it with the scan oracle's.
+    fn recover_with(
+        &mut self,
+        dropped: &[SegmentId],
+        replant: fn(&mut Self, SegmentId, usize, u64, u32) -> u64,
+    ) {
         if dropped.is_empty() {
             return;
         }
@@ -712,7 +753,7 @@ impl DhbScheduler {
             if deadline >= self.base {
                 // Slack remains: re-enter the need in [base, deadline].
                 let width = (deadline - self.base + 1) as usize;
-                let placed = self.replant(seg, width, deadline, retries + 1);
+                let placed = replant(self, seg, width, deadline, retries + 1);
                 self.recovery.reschedules += 1;
                 self.journal
                     .emit_kind(EventKind::Rescheduled, || Event::Rescheduled {
@@ -725,7 +766,7 @@ impl DhbScheduler {
                 // dependents' playback into a fresh window instead of
                 // silently starving them.
                 let t = self.periods[idx] as usize;
-                let placed = self.replant(seg, t, u64::MAX, retries + 1);
+                let placed = replant(self, seg, t, u64::MAX, retries + 1);
                 // Telescoping stall accounting: the dependents were owed
                 // the segment by `deadline` and now get it at `placed`.
                 let stall = placed - deadline;
@@ -752,31 +793,25 @@ impl DhbScheduler {
     fn replant(&mut self, seg: SegmentId, width: usize, deadline: u64, retries: u32) -> u64 {
         let idx = seg.array_index();
         self.ensure_ring(width);
-        let mut shareable = None;
-        for (off, plan) in self.ring.range(0..width).enumerate() {
-            if plan.scheduled.get(idx) {
-                shareable = Some(off);
+        let off = match self.latest_instance(idx, 0..width) {
+            Some(off) => {
+                let plan = &mut self.ring[off];
+                plan.deadline[idx] = plan.deadline[idx].min(deadline);
+                plan.retries[idx] = plan.retries[idx].max(retries);
+                off
             }
-        }
-        let off = match shareable {
-            Some(off) => off,
             None => {
-                let loads: Vec<u32> = self.ring.range(0..width).map(|p| p.load).collect();
                 let entropy = self.next_entropy();
-                let chosen = self.heuristic.pick(&loads, entropy);
-                let plan = &mut self.ring[chosen];
-                plan.scheduled.insert(idx);
-                plan.deadline[idx] = u64::MAX;
-                plan.load += 1;
-                self.new_instances += 1;
-                chosen
+                let candidates = self.ring.range(0..width).map(|plan| plan.load).enumerate();
+                let (off, _) = self
+                    .heuristic
+                    .pick_capped(candidates, None, entropy)
+                    .expect("recovery window is non-empty");
+                self.plant(idx, off, deadline, retries);
+                off
             }
         };
-        let abs = self.base + off as u64;
-        let plan = &mut self.ring[off];
-        plan.deadline[idx] = plan.deadline[idx].min(deadline);
-        plan.retries[idx] = plan.retries[idx].max(retries);
-        abs
+        self.base + off as u64
     }
 
     /// The segments currently planned for `slot` (for rendering the paper's
@@ -831,6 +866,9 @@ impl DhbScheduler {
         out
     }
 }
+
+#[cfg(test)]
+mod scan_oracle;
 
 #[cfg(test)]
 mod tests {
