@@ -1,7 +1,7 @@
 //! SVC-DATABYTES — delivered-bytes throughput of the vod-svc data plane
 //! at 1, 2, and 4 scheduler shards crossed with 1, 8, and 64 subscribers
 //! per channel, with the **byte identity check** on: every counted byte
-//! was reassembled by a client and verified checksum-identical to the
+//! was verified by a client, in place, byte-identical to the
 //! deterministic segment store, so the numbers only measure bytes that
 //! arrived correct.
 //!
@@ -77,8 +77,8 @@ fn run_cell(shards: usize, subs: usize, requests_per_conn: u64) -> (f64, f64, u6
     );
     assert_eq!(report.protocol_errors, 0, "{}", report.render());
     assert_eq!(report.subscriptions, conns as u64, "{}", report.render());
-    // The identity gate: a byte only counts if its segment reassembled
-    // checksum-identical to the deterministic store.
+    // The identity gate: a byte only counts if every byte of its segment
+    // matched the deterministic store.
     assert_eq!(
         report.data.checksum_mismatches,
         0,
@@ -175,7 +175,7 @@ fn main() {
     ]);
     vod_bench::emit(
         "svc_databytes",
-        "vod-svc delivered-bytes throughput vs shards and fan-out degree (checksum-gated)",
+        "vod-svc delivered-bytes throughput vs shards and fan-out degree (byte-gated)",
         &table,
     );
 
@@ -186,7 +186,7 @@ fn main() {
     // fan-out, e.g. re-encode per subscriber) — but the floor demands
     // margin: the full grid (64 subs) must clear 2x (the 64x fan-out may
     // cost at most 32x the time), the quick grid (8 subs) 1.25x. The
-    // per-byte tail of fan-out (kernel socket writes, client checksums)
+    // per-byte tail of fan-out (kernel socket writes, client verification)
     // is irreducible and parallelizes across cores, hence the 4-core gate.
     let floor = (subs_hi as f64 / 32.0).max(1.25);
     if cores >= 4 {

@@ -13,9 +13,9 @@
 //! Payload bytes come from a [`SegmentStore`] that *synthesizes* them
 //! deterministically from a seed and the `(video, segment)` pair, with
 //! length proportional to the segment's media duration. That makes every
-//! delivered byte verifiable — a client regenerates the expected payload
-//! locally and compares checksums — without shipping media files in the
-//! repository.
+//! delivered byte verifiable without shipping media files in the
+//! repository: the byte stream is seekable, so a client holding the seed
+//! checks each chunk in place against a [`PayloadOracle`] as it arrives.
 //!
 //! The crate is dependency-free and, like the rest of the workspace,
 //! forbids unsafe code.
@@ -27,4 +27,6 @@ mod ring;
 mod store;
 
 pub use ring::{Cursor, RingRead, RingStats, SegmentRing};
-pub use store::{checksum64, payload_len_for, SegmentPayload, SegmentStore, DEFAULT_STORE_SEED};
+pub use store::{
+    checksum64, payload_len_for, PayloadOracle, SegmentPayload, SegmentStore, DEFAULT_STORE_SEED,
+};

@@ -34,13 +34,14 @@
 //! its video's broadcast channel before the first request is sent (a
 //! start gate holds all connections until every subscription is live, so
 //! no publication can air unobserved). The inbound `SegmentData` chunks
-//! feed a [`Reassembler`], which rebuilds each publication in order,
-//! compares the bytes against a locally synthesized
-//! [`SegmentPayload`](vod_ring::SegmentPayload) oracle sharing the
-//! server's store seed, converts channel-seq jumps into explicit gap
-//! counts, and checks that every segment granted to *this* connection
-//! finishes arriving before its playback deadline — grant receipt plus
-//! `(air slot − arrival slot) × slot_ns` on the server's dilated clock.
+//! feed a [`Reassembler`], which checks that each publication's chunks
+//! tile it in order, compares every chunk in place against the seekable
+//! [`PayloadOracle`] stream sharing the server's store seed (no
+//! reassembly buffer, no synthesized copy), converts channel-seq jumps
+//! into explicit gap counts, and checks that every segment granted to
+//! *this* connection finishes arriving before its playback deadline —
+//! grant receipt plus `(air slot − arrival slot) × slot_ns` on the
+//! server's dilated clock.
 //!
 //! A reconnect re-subscribes: the server re-attaches the resumed session's
 //! cursor at the live ring head and reports the jump through
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use vod_net::{Events, Interest, Poller};
 use vod_obs::LogHistogram;
-use vod_ring::{checksum64, SegmentPayload};
+use vod_ring::PayloadOracle;
 
 use crate::session::lock_unpoisoned;
 use crate::wire::{
@@ -317,11 +318,13 @@ pub struct DataTally {
     /// excluded — this is the number that pairs with the server's
     /// `svc.bytes_delivered`).
     pub bytes_delivered: u64,
-    /// Publications fully reassembled and byte-identical to the store
+    /// Publications fully delivered and byte-identical to the store
     /// oracle.
     pub segments_verified: u64,
-    /// Publications fully reassembled whose bytes did NOT match the
-    /// oracle — always zero unless the data plane is broken.
+    /// Publications fully delivered with at least one byte that did NOT
+    /// match the oracle — always zero unless the data plane is broken.
+    /// (The name predates byte-wise verification; CI and `vodload`
+    /// output key on it.)
     pub checksum_mismatches: u64,
     /// Segments granted to this connection that were not completely
     /// delivered by their playback deadline.
@@ -352,25 +355,31 @@ impl DataTally {
     }
 }
 
-/// A publication mid-reassembly: its identity and the bytes so far.
+/// A publication mid-delivery: its identity, how many bytes have tiled
+/// so far, and whether every one of them matched the oracle.
 #[derive(Debug)]
 struct Partial {
     channel_seq: u64,
     segment: u32,
     slot: u64,
     total_len: u64,
-    buf: Vec<u8>,
+    oracle: PayloadOracle,
+    received: u64,
+    ok: bool,
 }
 
 /// Client-side reassembly and verification of one subscription's
 /// `SegmentData` stream.
 ///
-/// Chunks sharing a channel sequence are appended in offset order until
-/// `total_len` bytes have arrived, then the whole payload is compared
-/// against a locally synthesized [`vod_ring::SegmentPayload`] with the
-/// same `(seed, video, segment, len)` — byte equality, not just a
-/// checksum. Channel-seq jumps become [`DataTally::gaps`]; framing
-/// violations become [`DataTally::chunk_errors`].
+/// Chunks sharing a channel sequence must tile `0..total_len` in offset
+/// order. Each chunk is compared in place, as it arrives, against the
+/// [`PayloadOracle`] stream for the same `(seed, video, segment)` — byte
+/// equality at the chunk's offset, nothing buffered. A publication
+/// whose chunks tile exactly to `total_len` with every byte matching is
+/// verified; one with any differing byte is a
+/// [`DataTally::checksum_mismatches`]. Channel-seq jumps become
+/// [`DataTally::gaps`]; framing violations (including a chunk that
+/// would run past `total_len`) become [`DataTally::chunk_errors`].
 ///
 /// Deadlines: [`Reassembler::on_grant`] records, for every granted
 /// instance, the wall-clock instant its bytes must be complete by —
@@ -507,28 +516,30 @@ impl Reassembler {
                 segment,
                 slot,
                 total_len,
-                buf: Vec::with_capacity(total_len.min(1 << 24) as usize),
+                oracle: PayloadOracle::new(self.seed, self.video, segment),
+                received: 0,
+                ok: true,
             });
         }
         let p = self.partial.as_mut().expect("partial just ensured");
         if p.segment != segment
             || p.slot != slot
             || p.total_len != total_len
-            || offset != p.buf.len() as u64
+            || offset != p.received
+            || bytes.len() as u64 > total_len - p.received
         {
             self.tally.chunk_errors += 1;
             self.partial = None;
             return;
         }
-        p.buf.extend_from_slice(bytes);
-        if (p.buf.len() as u64) < p.total_len {
+        p.ok &= p.oracle.matches(offset, bytes);
+        p.received += bytes.len() as u64;
+        if p.received < p.total_len {
             return;
         }
         let done = self.partial.take().expect("complete partial");
         self.expected_seq = done.channel_seq + 1;
-        let oracle =
-            SegmentPayload::synthesize(self.seed, self.video, done.segment, done.buf.len());
-        if done.buf == oracle.bytes() && checksum64(&done.buf) == oracle.checksum() {
+        if done.ok {
             self.tally.segments_verified += 1;
         } else {
             self.tally.checksum_mismatches += 1;
@@ -1468,6 +1479,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
     use crate::wire::GrantedSegment;
+    use vod_ring::SegmentPayload;
 
     const SEED: u64 = 0xfeed_beef;
 
@@ -1504,6 +1516,95 @@ mod tests {
         r.on_chunk(1, 3, 0, 0, 32, &wrong, Instant::now());
         assert_eq!(r.tally().checksum_mismatches, 1);
         assert_eq!(r.tally().segments_verified, 0);
+    }
+
+    fn grant(segment: u32, slot: u64) -> [GrantedSegment; 1] {
+        [GrantedSegment {
+            segment,
+            slot,
+            shared: false,
+        }]
+    }
+
+    #[test]
+    fn corruption_in_a_later_chunk_is_one_mismatch_and_delivery_moves_on() {
+        let p = oracle(1, 4, 100);
+        let mut wrong = p.bytes().to_vec();
+        wrong[77] ^= 0x10;
+        let mut r = ready(1, 100, 1_000_000_000);
+        let now = Instant::now();
+        r.on_grant(3, &grant(4, 6), now);
+        r.on_chunk(4, 6, 0, 0, 100, &wrong[..40], now);
+        r.on_chunk(4, 6, 0, 40, 100, &wrong[40..], now);
+        let t = r.tally();
+        assert_eq!(t.checksum_mismatches, 1);
+        assert_eq!(t.segments_verified, 0);
+        assert_eq!(t.chunk_errors, 0);
+        assert!(
+            r.drained(),
+            "the corrupted publication still completes its deadline"
+        );
+        // The sequence advanced: seq 1 is next, not a gap.
+        r.on_chunk(4, 7, 1, 0, 100, p.bytes(), now);
+        r.finish();
+        let t = r.tally();
+        assert_eq!(t.segments_verified, 1);
+        assert_eq!(t.gaps, 0);
+        assert_eq!(t.byte_deadline_misses, 0, "delivered on time, if wrong");
+    }
+
+    #[test]
+    fn corruption_at_an_unaligned_chunk_offset_is_a_mismatch() {
+        let p = oracle(2, 3, 64);
+        // Chunk boundaries at 3, 13 and 29: none word-aligned.
+        for corrupt in [3, 5, 12, 13, 28, 29, 63] {
+            let mut wrong = p.bytes().to_vec();
+            wrong[corrupt] ^= 0x01;
+            let mut r = ready(2, 64, 1_000_000);
+            let now = Instant::now();
+            for (from, to) in [(0, 3), (3, 13), (13, 29), (29, 64)] {
+                r.on_chunk(3, 1, 0, from as u64, 64, &wrong[from..to], now);
+            }
+            let t = r.tally();
+            assert_eq!(t.checksum_mismatches, 1, "byte {corrupt}");
+            assert_eq!(t.segments_verified, 0, "byte {corrupt}");
+            assert_eq!(t.chunk_errors, 0, "byte {corrupt}");
+        }
+    }
+
+    #[test]
+    fn a_chunk_overrunning_total_len_is_a_chunk_error() {
+        let long = oracle(0, 2, 40);
+        let mut r = ready(0, 32, 1_000_000);
+        let now = Instant::now();
+        // A single chunk longer than the declared length...
+        r.on_chunk(2, 5, 0, 0, 32, long.bytes(), now);
+        // ...and a second chunk running past it.
+        r.on_chunk(2, 6, 1, 0, 32, &long.bytes()[..24], now);
+        r.on_chunk(2, 6, 1, 24, 32, &long.bytes()[24..], now);
+        let t = r.tally();
+        assert_eq!(t.chunk_errors, 2);
+        assert_eq!(t.segments_verified, 0);
+        assert_eq!(
+            t.checksum_mismatches, 0,
+            "never checked against an overrun oracle"
+        );
+        assert!(r.drained());
+    }
+
+    #[test]
+    fn a_mismatch_does_not_taint_the_next_publication() {
+        let p = oracle(5, 0, 48);
+        let mut wrong = p.bytes().to_vec();
+        wrong[0] ^= 0x80;
+        let mut r = ready(5, 48, 1_000_000);
+        let now = Instant::now();
+        r.on_chunk(0, 2, 0, 0, 48, &wrong, now);
+        r.on_chunk(0, 3, 1, 0, 48, &p.bytes()[..20], now);
+        r.on_chunk(0, 3, 1, 20, 48, &p.bytes()[20..], now);
+        let t = r.tally();
+        assert_eq!(t.checksum_mismatches, 1);
+        assert_eq!(t.segments_verified, 1);
     }
 
     #[test]

@@ -93,7 +93,7 @@ const USAGE: &str = "usage:\n  \
     bind address of the hosted admin listener);\n\
     --verify-bytes subscribes every connection to its video's broadcast\n\
     channel and verifies each delivered segment byte-for-byte against the\n\
-    deterministic store oracle, failing on any checksum mismatch or\n\
+    deterministic store oracle, failing on any byte mismatch or\n\
     byte-level deadline miss; --data-rate sets the self-hosted payload\n\
     rate in bytes per media-second; --store-seed overrides the payload\n\
     seed (shared with the self-hosted server, or matched to a remote one);\n\
