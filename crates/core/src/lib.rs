@@ -47,7 +47,6 @@ pub mod heuristic;
 pub mod protocol;
 pub mod scheduler;
 pub mod slot_scheduler;
-pub mod transition;
 
 pub use audit::{
     audit_dhb, AuditError, ClientDemands, MissCause, ServiceSummary, TimelinessAuditor,
@@ -56,4 +55,3 @@ pub use heuristic::SlotHeuristic;
 pub use protocol::{Dhb, DhbStats};
 pub use scheduler::{DhbScheduler, RecoveryStats, ScheduledSegment, SchedulerError};
 pub use slot_scheduler::{PlanScheduler, ScheduledProtocol, SchedulerStats, SlotScheduler};
-pub use transition::{TransitionRefused, TransitionScheduler};

@@ -250,19 +250,6 @@ pub enum Event {
         /// Ring frames replayed to close the client's grant gap.
         replayed: u64,
     },
-    /// The adaptive policy engine switched a video's scheduling protocol;
-    /// the old scheduler keeps draining its admitted grants through the
-    /// handover window.
-    ProtocolTransition {
-        /// The video that switched.
-        video: u64,
-        /// Scheduler name before the switch (e.g. `tapping`, `DHB`).
-        from: String,
-        /// Scheduler name after the switch.
-        to: String,
-        /// The slot the new scheduler took over at.
-        slot: u64,
-    },
 }
 
 /// Discriminant of [`Event`], used for eviction-proof per-kind counting.
@@ -296,13 +283,11 @@ pub enum EventKind {
     ShardDisabled,
     /// [`Event::SessionResumed`].
     SessionResumed,
-    /// [`Event::ProtocolTransition`].
-    ProtocolTransition,
 }
 
 impl EventKind {
     /// Number of event kinds.
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     /// All kinds, in wire order.
     pub const ALL: [EventKind; EventKind::COUNT] = [
@@ -320,7 +305,6 @@ impl EventKind {
         EventKind::ShardRestarted,
         EventKind::ShardDisabled,
         EventKind::SessionResumed,
-        EventKind::ProtocolTransition,
     ];
 
     /// Stable snake-case wire name used as the JSONL `type` field.
@@ -341,7 +325,6 @@ impl EventKind {
             EventKind::ShardRestarted => "shard_restarted",
             EventKind::ShardDisabled => "shard_disabled",
             EventKind::SessionResumed => "session_resumed",
-            EventKind::ProtocolTransition => "protocol_transition",
         }
     }
 
@@ -367,7 +350,6 @@ impl EventKind {
             EventKind::ShardRestarted => 11,
             EventKind::ShardDisabled => 12,
             EventKind::SessionResumed => 13,
-            EventKind::ProtocolTransition => 14,
         }
     }
 }
@@ -391,7 +373,6 @@ impl Event {
             Event::ShardRestarted { .. } => EventKind::ShardRestarted,
             Event::ShardDisabled { .. } => EventKind::ShardDisabled,
             Event::SessionResumed { .. } => EventKind::SessionResumed,
-            Event::ProtocolTransition { .. } => EventKind::ProtocolTransition,
         }
     }
 }

@@ -122,15 +122,6 @@ pub fn write_record(out: &mut String, record: &EventRecord) {
             out,
             r#"{{"seq":{seq},"type":"{kind}","session":{session},"conn":{conn},"replayed":{replayed}}}"#
         ),
-        Event::ProtocolTransition {
-            video,
-            from,
-            to,
-            slot,
-        } => write!(
-            out,
-            r#"{{"seq":{seq},"type":"{kind}","video":{video},"from":"{from}","to":"{to}","slot":{slot}}}"#
-        ),
     };
     out.push('\n');
 }
@@ -203,7 +194,6 @@ pub fn parse_line(line: &str) -> Result<EventRecord, String> {
         EventKind::ShardRestarted => &["seq", "type", "shard", "replayed", "backoff_ms"],
         EventKind::ShardDisabled => &["seq", "type", "shard"],
         EventKind::SessionResumed => &["seq", "type", "session", "conn", "replayed"],
-        EventKind::ProtocolTransition => &["seq", "type", "video", "from", "to", "slot"],
     };
     for (name, _) in &fields {
         if !expected.contains(&name.as_str()) {
@@ -275,12 +265,6 @@ pub fn parse_line(line: &str) -> Result<EventRecord, String> {
             session: get_u64(&fields, "session")?,
             conn: get_u64(&fields, "conn")?,
             replayed: get_u64(&fields, "replayed")?,
-        },
-        EventKind::ProtocolTransition => Event::ProtocolTransition {
-            video: get_u64(&fields, "video")?,
-            from: get_str(&fields, "from")?.to_owned(),
-            to: get_str(&fields, "to")?.to_owned(),
-            slot: get_u64(&fields, "slot")?,
         },
     };
     Ok(EventRecord { seq, event })
@@ -554,12 +538,6 @@ mod tests {
                 conn: 9,
                 replayed: 11,
             },
-            Event::ProtocolTransition {
-                video: 2,
-                from: "tapping".to_owned(),
-                to: "dyn-NPB".to_owned(),
-                slot: 96,
-            },
         ];
         events
             .into_iter()
@@ -625,6 +603,7 @@ mod tests {
             r#"{"seq":0,"type":"slot_closed","slot":1,"scheduled":4294967296,"transmitted":0}"#,
             r#"not json"#,
             r#"{"seq":0,"type":"request_arrived","slot":1} trailing"#,
+            r#"{"seq":0,"type":"protocol_transition","video":2,"from":"DHB","to":"dyn-NPB","slot":96}"#,
         ];
         for (i, bad) in cases.iter().enumerate() {
             let doc = format!("{{\"seq\":0,\"type\":\"request_arrived\",\"slot\":0}}\n{bad}");

@@ -73,25 +73,11 @@ fn build_event(kind: usize, a: u64, b: u64, c: u32, flag: bool, t: f64) -> Event
             backoff_ms: u64::from(c),
         },
         12 => Event::ShardDisabled { shard: a },
-        13 => Event::SessionResumed {
+        _ => Event::SessionResumed {
             session: a,
             conn: b,
             replayed: u64::from(c),
         },
-        _ => Event::ProtocolTransition {
-            video: a,
-            from: protocol_for(b).to_owned(),
-            to: protocol_for(b.wrapping_add(1)).to_owned(),
-            slot: b,
-        },
-    }
-}
-
-fn protocol_for(tag: u64) -> &'static str {
-    match tag % 3 {
-        0 => "tapping",
-        1 => "DHB",
-        _ => "dyn-NPB",
     }
 }
 

@@ -52,7 +52,6 @@ pub mod patching;
 pub mod sb;
 pub mod selective_catching;
 pub mod tapping;
-pub mod tapping_schedule;
 pub mod ud;
 
 pub use batching::Batching;
@@ -65,5 +64,4 @@ pub use npb_schedule::NpbGrantScheduler;
 pub use patching::Patching;
 pub use selective_catching::SelectiveCatching;
 pub use tapping::{StreamTapping, TappingPolicy};
-pub use tapping_schedule::TappingGrantScheduler;
 pub use ud::UniversalDistribution;

@@ -40,17 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod catalog;
 pub mod joint;
 pub mod policy;
 pub mod serve_catalog;
 pub mod server;
 
-pub use adaptive::{
-    scheduler_for_tier, AdaptiveConfig, AdaptiveConfigError, PolicyEngine, PopularityEstimator,
-    Tier,
-};
 pub use catalog::{Catalog, VideoEntry, VideoId};
 pub use joint::JointReport;
 pub use policy::{AssignedProtocol, Policy};

@@ -38,21 +38,6 @@
 //! periods = [1, 2, 2, 4]
 //! segment-secs = 5.0
 //! ```
-//!
-//! An optional singular `[adaptive]` table turns on the popularity-driven
-//! policy engine for every eligible entry (`dhb` and `npb` entries, whose
-//! equal-segment geometry every tier can serve — see
-//! [`ServeEntry::adaptive_tier`]):
-//!
-//! ```toml
-//! [adaptive]
-//! window-slots = 64         # sliding-window rate estimate length
-//! hot-enter = 0.5           # arrivals/slot at or above → NPB grants
-//! hot-exit = 0.25           # hot drops strictly below → DHB
-//! warm-enter = 0.0625       # at or above → DHB
-//! warm-exit = 0.03125       # warm drops strictly below → tapping
-//! min-dwell-slots = 32      # pacing between transitions of one video
-//! ```
 
 use std::fmt;
 use std::fs;
@@ -63,8 +48,6 @@ use vod_obs::Journal;
 use vod_protocols::NpbGrantScheduler;
 use vod_trace::{BroadcastPlan, DhbVariant, FilmPreset};
 use vod_types::{Seconds, VideoSpec};
-
-use crate::adaptive::{AdaptiveConfig, Tier};
 
 /// What building one catalog entry yields: the video's spec plus its boxed
 /// scheduler, or the typed reason it cannot serve.
@@ -126,22 +109,6 @@ impl ServeEntry {
                 segments: spec.n_segments(),
             },
             bytes_per_sec: None,
-        }
-    }
-
-    /// The tier this entry starts in when the adaptive policy engine
-    /// manages it, or `None` when the entry is pinned to its static
-    /// scheme. Only `dhb` and `npb` entries are eligible: every tier's
-    /// scheduler for `segments` equal segments grants `S_j` within
-    /// `(i, i + j]`, which is what makes a live handover glitch-free.
-    /// Explicit period vectors and DHB-d plans have bespoke geometries no
-    /// other tier can honour.
-    #[must_use]
-    pub fn adaptive_tier(&self) -> Option<Tier> {
-        match &self.kind {
-            SchedulerKind::Dhb { .. } => Some(Tier::Warm),
-            SchedulerKind::Npb { .. } => Some(Tier::Hot),
-            SchedulerKind::Periods { .. } | SchedulerKind::DhbD { .. } => None,
         }
     }
 
@@ -245,7 +212,6 @@ fn preset_from_key(key: &str) -> Option<FilmPreset> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeCatalog {
     entries: Vec<ServeEntry>,
-    adaptive: Option<AdaptiveConfig>,
 }
 
 impl ServeCatalog {
@@ -261,24 +227,7 @@ impl ServeCatalog {
             !entries.is_empty(),
             "a serve catalog needs at least one video"
         );
-        ServeCatalog {
-            entries,
-            adaptive: None,
-        }
-    }
-
-    /// The same catalog with the adaptive policy engine enabled under
-    /// `config` for every eligible entry.
-    #[must_use]
-    pub fn with_adaptive(mut self, config: AdaptiveConfig) -> Self {
-        self.adaptive = Some(config);
-        self
-    }
-
-    /// The adaptive engine configuration, when the catalog enables one.
-    #[must_use]
-    pub fn adaptive(&self) -> Option<&AdaptiveConfig> {
-        self.adaptive.as_ref()
+        ServeCatalog { entries }
     }
 
     /// The uniform catalog older configurations described as `videos`
@@ -292,7 +241,6 @@ impl ServeCatalog {
         assert!(videos > 0, "a serve catalog needs at least one video");
         ServeCatalog {
             entries: (0..videos).map(|_| ServeEntry::fixed_rate(spec)).collect(),
-            adaptive: None,
         }
     }
 
@@ -347,25 +295,8 @@ impl ServeCatalog {
     /// [`CatalogError::Parse`] with the 1-based offending line, or
     /// [`CatalogError::Empty`] when no `[[video]]` table is present.
     pub fn parse(text: &str) -> Result<Self, CatalogError> {
-        fn flush(
-            current: &mut Option<RawEntry>,
-            in_adaptive: &mut bool,
-            entries: &mut Vec<ServeEntry>,
-            adaptive: &mut Option<AdaptiveConfig>,
-        ) -> Result<(), CatalogError> {
-            if let Some(raw) = current.take() {
-                if std::mem::take(in_adaptive) {
-                    *adaptive = Some(raw.interpret_adaptive()?);
-                } else {
-                    entries.push(raw.interpret()?);
-                }
-            }
-            Ok(())
-        }
         let mut entries = Vec::new();
-        let mut adaptive: Option<AdaptiveConfig> = None;
         let mut current: Option<RawEntry> = None;
-        let mut in_adaptive = false;
         for (idx, raw_line) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = strip_comment(raw_line).trim().to_owned();
@@ -373,26 +304,15 @@ impl ServeCatalog {
                 continue;
             }
             if line == "[[video]]" {
-                flush(&mut current, &mut in_adaptive, &mut entries, &mut adaptive)?;
-                current = Some(RawEntry::new(line_no));
-                continue;
-            }
-            if line == "[adaptive]" {
-                flush(&mut current, &mut in_adaptive, &mut entries, &mut adaptive)?;
-                if adaptive.is_some() {
-                    return Err(CatalogError::Parse {
-                        line: line_no,
-                        message: "duplicate [adaptive] table".to_owned(),
-                    });
+                if let Some(raw) = current.replace(RawEntry::new(line_no)) {
+                    entries.push(raw.interpret()?);
                 }
-                current = Some(RawEntry::new(line_no));
-                in_adaptive = true;
                 continue;
             }
             if line.starts_with('[') {
                 return Err(CatalogError::Parse {
                     line: line_no,
-                    message: format!("unknown table {line:?}; expected [[video]] or [adaptive]"),
+                    message: format!("unknown table {line:?}; expected [[video]]"),
                 });
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -410,11 +330,13 @@ impl ServeCatalog {
             raw.fields
                 .push((key.trim().to_owned(), value.trim().to_owned(), line_no));
         }
-        flush(&mut current, &mut in_adaptive, &mut entries, &mut adaptive)?;
+        if let Some(raw) = current {
+            entries.push(raw.interpret()?);
+        }
         if entries.is_empty() {
             return Err(CatalogError::Empty);
         }
-        Ok(ServeCatalog { entries, adaptive })
+        Ok(ServeCatalog { entries })
     }
 }
 
@@ -512,42 +434,6 @@ impl RawEntry {
                     .collect()
             })
             .transpose()
-    }
-
-    /// Interprets this table as the `[adaptive]` engine configuration:
-    /// defaults with any present key overridden, then validated.
-    fn interpret_adaptive(mut self) -> Result<AdaptiveConfig, CatalogError> {
-        let line = self.line;
-        let mut config = AdaptiveConfig::default();
-        if let Some(v) = self.take_u64("window-slots")? {
-            config.window_slots = v;
-        }
-        if let Some(v) = self.take_f64("hot-enter")? {
-            config.hot_enter = v;
-        }
-        if let Some(v) = self.take_f64("hot-exit")? {
-            config.hot_exit = v;
-        }
-        if let Some(v) = self.take_f64("warm-enter")? {
-            config.warm_enter = v;
-        }
-        if let Some(v) = self.take_f64("warm-exit")? {
-            config.warm_exit = v;
-        }
-        if let Some(v) = self.take_u64("min-dwell-slots")? {
-            config.min_dwell_slots = v;
-        }
-        if let Some((key, _, line)) = self.fields.first() {
-            return Err(CatalogError::Parse {
-                line: *line,
-                message: format!("unknown [adaptive] key {key:?}"),
-            });
-        }
-        config.validate().map_err(|e| CatalogError::Parse {
-            line,
-            message: e.to_string(),
-        })?;
-        Ok(config)
     }
 
     fn interpret(mut self) -> Result<ServeEntry, CatalogError> {
@@ -774,54 +660,15 @@ max-wait-secs = 60.0
             matches!(unknown, CatalogError::Parse { line: 4, .. }),
             "{unknown}"
         );
-    }
-
-    #[test]
-    fn adaptive_table_parses_with_defaults_and_overrides() {
-        let text = "[adaptive]\nwindow-slots = 16\nhot-enter = 0.9\n\n\
-                    [[video]]\nprotocol = \"dhb\"\nsegments = 4\n\n\
-                    [[video]]\nprotocol = \"npb\"\nsegments = 9\n\n\
-                    [[video]]\nprotocol = \"periods\"\nperiods = [1, 2, 2]\n";
-        let catalog = ServeCatalog::parse(text).expect("parses");
-        let config = catalog.adaptive().expect("adaptive enabled");
-        assert_eq!(config.window_slots, 16);
-        assert!((config.hot_enter - 0.9).abs() < 1e-12);
-        let default = AdaptiveConfig::default();
-        assert!((config.warm_exit - default.warm_exit).abs() < 1e-12);
-        // Eligibility: T[j] = j entries adapt, bespoke geometries stay
-        // pinned.
-        assert_eq!(catalog.entries()[0].adaptive_tier(), Some(Tier::Warm));
-        assert_eq!(catalog.entries()[1].adaptive_tier(), Some(Tier::Hot));
-        assert_eq!(catalog.entries()[2].adaptive_tier(), None);
-        // A plain catalog leaves the engine off.
-        assert!(
-            ServeCatalog::parse("[[video]]\nprotocol = \"dhb\"\nsegments = 4\n")
-                .expect("parses")
-                .adaptive()
-                .is_none()
-        );
-    }
-
-    #[test]
-    fn adaptive_table_rejects_duplicates_and_bad_thresholds() {
-        let dup = "[adaptive]\n[[video]]\nprotocol = \"dhb\"\nsegments = 4\n[adaptive]\n";
-        let err = ServeCatalog::parse(dup).unwrap_err();
-        assert!(
-            matches!(&err, CatalogError::Parse { line: 5, message } if message.contains("duplicate")),
-            "{err}"
-        );
-        let inverted = "[adaptive]\nhot-enter = 0.1\nhot-exit = 0.2\n\
-                        [[video]]\nprotocol = \"dhb\"\nsegments = 4\n";
-        let err = ServeCatalog::parse(inverted).unwrap_err();
-        assert!(
-            matches!(&err, CatalogError::Parse { line: 1, message } if message.contains("hot-exit")),
-            "{err}"
-        );
-        let unknown = "[adaptive]\nbogus = 1\n[[video]]\nprotocol = \"dhb\"\nsegments = 4\n";
-        let err = ServeCatalog::parse(unknown).unwrap_err();
-        assert!(
-            matches!(&err, CatalogError::Parse { line: 2, message } if message.contains("bogus")),
-            "{err}"
+        let table =
+            ServeCatalog::parse("[adaptive]\n[[video]]\nprotocol = \"dhb\"\nsegments = 4\n")
+                .unwrap_err();
+        assert_eq!(
+            table,
+            CatalogError::Parse {
+                line: 1,
+                message: "unknown table \"[adaptive]\"; expected [[video]]".to_owned()
+            }
         );
     }
 

@@ -15,8 +15,8 @@
 //! into whatever engine they drive (the discrete-event simulator's
 //! [`TimeVaryingPoisson`] workloads, or `vodload`'s open-loop pacing over a
 //! live server). Keeping them here lets the load generator and the simulator
-//! exercise the *same* shapes, so a transition policy tuned in simulation
-//! sees an identical demand curve when replayed against `vod-svc`.
+//! exercise the *same* shapes, so a demand curve studied in simulation is
+//! the one replayed against `vod-svc`.
 
 use vod_types::{ArrivalRate, Seconds};
 

@@ -839,11 +839,8 @@ impl EventLoop {
                         seq,
                         video,
                         segments: meta.segments,
-                        // Live accessors: after an adaptive protocol
-                        // transition these report the scheduler new
-                        // arrivals actually land on.
-                        protocol: meta.protocol(),
-                        periods: meta.periods(),
+                        protocol: meta.protocol.clone(),
+                        periods: meta.periods.clone(),
                     },
                     Some(_) => Frame::Rejected {
                         seq,

@@ -99,13 +99,6 @@ pub struct LoadConfig {
     /// `Some(k)`: explicit arrival slots `0, k, 2k, …` per connection;
     /// `None`: stamp requests with the server's virtual clock.
     pub arrival_stride: Option<u64>,
-    /// Explicit per-request arrival slots: connection `c` stamps request
-    /// `i` with `arrival_slots[c % len][i]` (a schedule shorter than the
-    /// request count keeps extending by its last gap). Overrides
-    /// [`arrival_stride`](Self::arrival_stride); this is how a test drives
-    /// a deterministic time-varying arrival density (e.g. a flash crowd in
-    /// slot space) through the policy engine.
-    pub arrival_slots: Option<Arc<Vec<Vec<u64>>>>,
     /// Keep every granted schedule (for equivalence checks); costs memory.
     pub collect_grants: bool,
     /// Reconnect attempts allowed per connection after the first (0 = give
@@ -146,7 +139,6 @@ impl Default for LoadConfig {
             open_rate: None,
             pacing: None,
             arrival_stride: Some(1),
-            arrival_slots: None,
             collect_grants: false,
             max_reconnects: 2,
             read_timeout: Duration::from_secs(10),
@@ -989,11 +981,6 @@ fn drive_conn(
         .as_deref()
         .filter(|p| !p.is_empty())
         .map(|p| p[index % p.len()].as_slice());
-    let slot_schedule: Option<&[u64]> = config
-        .arrival_slots
-        .as_deref()
-        .filter(|s| !s.is_empty())
-        .map(|s| s[index % s.len()].as_slice());
     let mut attempt: u32 = 0;
 
     loop {
@@ -1012,7 +999,6 @@ fn drive_conn(
             attempt,
             if attempt == 1 { gate } else { None },
             schedule,
-            slot_schedule,
         ) {
             Ok(end) => end,
             Err(e) => {
@@ -1085,7 +1071,6 @@ fn run_attempt(
     attempt: u32,
     gate: Option<&StartGate>,
     schedule: Option<&[Duration]>,
-    slot_schedule: Option<&[u64]>,
 ) -> io::Result<AttemptEnd> {
     let (mut io, mut writer) = ClientIo::connect(addr)?;
     handshake(&mut io, &mut writer, config, state, session, outcome)?;
@@ -1162,22 +1147,9 @@ fn run_attempt(
                 }
             }
         }
-        let arrival_slot = match slot_schedule {
-            Some(slots) => slots.get(seq as usize).copied().unwrap_or_else(|| {
-                // Past the schedule's end: keep extending by its last gap
-                // so stamps stay non-decreasing.
-                let last = slots[slots.len() - 1];
-                let tail_gap = if slots.len() >= 2 {
-                    last.saturating_sub(slots[slots.len() - 2])
-                } else {
-                    1
-                };
-                last + tail_gap * (seq + 1 - slots.len() as u64)
-            }),
-            None => config
-                .arrival_stride
-                .map_or(ARRIVAL_AUTO, |stride| seq * stride),
-        };
+        let arrival_slot = config
+            .arrival_stride
+            .map_or(ARRIVAL_AUTO, |stride| seq * stride);
         lock_unpoisoned(state).sent_at[seq as usize] = Some(Instant::now());
         let frame = Frame::Request {
             seq,

@@ -40,10 +40,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dhb_core::TransitionScheduler;
 use vod_net::{Events, Interest, Poller, Signal};
 use vod_obs::{Event, Journal};
-use vod_server::{PolicyEngine, ServeCatalog};
+use vod_server::ServeCatalog;
 use vod_types::VideoSpec;
 
 use crate::admin::{AdminFrame, ADMIN_PROTOCOL_VERSION};
@@ -165,70 +164,25 @@ pub struct DrainSummary {
     pub stats_json: String,
 }
 
-/// The protocol facts that change when the policy engine switches a video's
-/// scheduler at runtime: the live scheduler name and period vector.
-pub(crate) struct LiveProtocol {
-    /// Scheduler name (`DHB`, `dyn-NPB`, `tapping`, …) or the entry's
+/// Per-video facts the event loops answer `Describe` from and validate
+/// `Request`s against, fixed at startup.
+pub(crate) struct VideoMeta {
+    /// Segment count (0 for invalid entries).
+    pub(crate) segments: u32,
+    /// Scheduler name (`DHB`, `dyn-NPB`, `DHB-d`, …), or the entry's
     /// protocol key when the entry failed to build.
     pub(crate) protocol: String,
     /// The period vector `T[1..=n]` (empty for invalid entries).
     pub(crate) periods: Vec<u64>,
-}
-
-/// Per-video facts the event loops answer `Describe` from and validate
-/// `Request`s against. Geometry (`segments`) and validity are fixed at
-/// startup; the protocol name and period vector are *live* — the owning
-/// shard updates them when the adaptive policy engine switches the video
-/// between tapping, DHB, and NPB-grant scheduling, so `Describe` always
-/// reports the scheduler new arrivals actually land on.
-pub(crate) struct VideoMeta {
-    /// Segment count (0 for invalid entries).
-    pub(crate) segments: u32,
-    /// The live protocol facts (name + periods), updated on transitions.
-    live: Mutex<LiveProtocol>,
     /// `false` when the catalog entry could not back a working scheduler;
     /// requests for it get `Rejected(invalid_video)`.
     pub(crate) valid: bool,
 }
 
-impl VideoMeta {
-    pub(crate) fn new(
-        segments: u32,
-        protocol: String,
-        periods: Vec<u64>,
-        valid: bool,
-    ) -> VideoMeta {
-        VideoMeta {
-            segments,
-            live: Mutex::new(LiveProtocol { protocol, periods }),
-            valid,
-        }
-    }
-
-    /// The live scheduler name.
-    pub(crate) fn protocol(&self) -> String {
-        lock_unpoisoned(&self.live).protocol.clone()
-    }
-
-    /// The live period vector `T[1..=n]`.
-    pub(crate) fn periods(&self) -> Vec<u64> {
-        lock_unpoisoned(&self.live).periods.clone()
-    }
-
-    /// Publishes a protocol transition so `Describe` reflects it.
-    pub(crate) fn set_live(&self, protocol: &str, periods: &[u64]) {
-        let mut live = lock_unpoisoned(&self.live);
-        live.protocol.clear();
-        live.protocol.push_str(protocol);
-        live.periods.clear();
-        live.periods.extend_from_slice(periods);
-    }
-}
-
 pub(crate) struct Shared {
     pub(crate) videos: u32,
     pub(crate) shards: usize,
-    pub(crate) meta: Arc<Vec<VideoMeta>>,
+    pub(crate) meta: Vec<VideoMeta>,
     pub(crate) dilation: u32,
     pub(crate) draining: AtomicBool,
     pub(crate) next_conn: AtomicU64,
@@ -317,32 +271,16 @@ impl Service {
                             .unwrap_or(u64::MAX),
                         valid: true,
                     });
-                    meta.push(VideoMeta::new(
-                        spec.n_segments() as u32,
-                        scheduler.name().to_owned(),
-                        scheduler.periods().to_vec(),
-                        true,
-                    ));
-                    // A video is adaptive-managed when the catalog carries
-                    // an `[adaptive]` table and the entry's protocol maps
-                    // onto a tier (bespoke period vectors are ineligible:
-                    // there is no equivalent geometry to transition to).
-                    let adaptive = config
-                        .catalog
-                        .adaptive()
-                        .copied()
-                        .and_then(|cfg| entry.adaptive_tier().map(|tier| (cfg, tier)));
-                    if let Some((_, tier)) = &adaptive {
-                        stats.policy_gauge(*tier).fetch_add(1, Ordering::Relaxed);
-                    }
+                    meta.push(VideoMeta {
+                        segments: spec.n_segments() as u32,
+                        protocol: scheduler.name().to_owned(),
+                        periods: scheduler.periods().to_vec(),
+                        valid: true,
+                    });
                     shard_videos[id % shards].push(ShardVideo {
                         id: id as u32,
                         entry: entry.clone(),
-                        engine: adaptive
-                            .as_ref()
-                            .map(|(cfg, tier)| PolicyEngine::new(*cfg, *tier)),
-                        adaptive,
-                        scheduler: TransitionScheduler::new(scheduler),
+                        scheduler,
                         clock,
                     });
                 }
@@ -353,16 +291,15 @@ impl Service {
                         slot_ns: 0,
                         valid: false,
                     });
-                    meta.push(VideoMeta::new(
-                        0,
-                        entry.protocol_key().to_owned(),
-                        Vec::new(),
-                        false,
-                    ));
+                    meta.push(VideoMeta {
+                        segments: 0,
+                        protocol: entry.protocol_key().to_owned(),
+                        periods: Vec::new(),
+                        valid: false,
+                    });
                 }
             }
         }
-        let meta = Arc::new(meta);
         let data = Arc::new(DataPlane::new(
             config.store_seed,
             config.ring_cap.max(1),
@@ -393,7 +330,6 @@ impl Service {
                     chaos: Arc::clone(&chaos),
                     telemetry: Arc::clone(&telemetry),
                     data: Arc::clone(&data),
-                    meta: Arc::clone(&meta),
                     policy: policy.clone(),
                     down: Arc::clone(&shard_down[id]),
                 },

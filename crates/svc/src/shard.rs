@@ -52,16 +52,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dhb_core::{SlotScheduler, TransitionScheduler};
+use dhb_core::SlotScheduler;
 use vod_obs::{Event, Journal, RejectKind};
-use vod_server::{scheduler_for_tier, AdaptiveConfig, PolicyEngine, ServeEntry, Tier};
+use vod_server::ServeEntry;
 use vod_types::Slot;
 
 use crate::chaos::ChaosPlan;
 use crate::clock::SlotClock;
 use crate::data::{DataPlane, PublishOutcome};
 use crate::eventloop::ConnSender;
-use crate::server::VideoMeta;
 use crate::session::Session;
 use crate::stats::ServiceStats;
 use crate::telemetry::{Outbound, PendingSpan, SpanCarrier, SpanStart, Telemetry};
@@ -122,21 +121,13 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// One video owned by a shard: its scheduler (wrapped for glitch-free live
-/// protocol transitions), the catalog entry it was built from (kept so the
-/// supervisor can rebuild after a panic), the adaptive policy engine when
-/// the catalog opted the video into popularity-driven scheduling, and its
+/// One video owned by a shard: its scheduler, the catalog entry it was
+/// built from (kept so the supervisor can rebuild after a panic), and its
 /// own slot clock.
 pub(crate) struct ShardVideo {
     pub id: u32,
     pub entry: ServeEntry,
-    pub scheduler: TransitionScheduler,
-    /// The policy configuration and *startup* tier, kept so a supervisor
-    /// rebuild can reconstruct the engine from scratch before replay.
-    pub adaptive: Option<(AdaptiveConfig, Tier)>,
-    /// Live policy state: popularity estimator + hysteresis classifier.
-    /// `None` for videos the catalog does not adaptive-manage.
-    pub engine: Option<PolicyEngine>,
+    pub scheduler: Box<dyn SlotScheduler + Send>,
     pub clock: Arc<SlotClock>,
 }
 
@@ -166,9 +157,6 @@ pub(crate) struct ShardConfig {
     /// The broadcast data plane: every newly scheduled instance is
     /// published into its channel ring and fanned out to subscribers.
     pub data: Arc<DataPlane>,
-    /// Shared per-video meta: the shard publishes protocol transitions
-    /// into it so `Describe` reports the live scheduler.
-    pub meta: Arc<Vec<VideoMeta>>,
     pub policy: RestartPolicy,
     /// Flipped once the restart budget is spent; readers then shed this
     /// shard's videos at admission instead of queueing into a dead end.
@@ -184,28 +172,14 @@ pub(crate) fn spawn_shard(
         .spawn(move || run_shard(config, &rx))
 }
 
-/// One replayable scheduling operation in a shard's state journal.
-#[derive(Clone, Copy)]
-enum JournalOp {
-    /// A request scheduled at `arrival`.
-    Arrival { video: u32, arrival: u64 },
-    /// A committed protocol transition to `tier`'s scheduler at `slot`.
-    Transition { video: u32, tier: Tier, slot: u64 },
-}
-
 /// The compact per-shard state journal a supervisor rebuild replays:
-/// scheduled arrivals and committed protocol transitions in order, plus
-/// each video's ring cursor.
+/// scheduled `(video, arrival)` pairs in order, plus each video's ring
+/// cursor.
 struct StateJournal {
-    /// Operations in application order, bounded by `cap`.
-    entries: VecDeque<JournalOp>,
+    /// Scheduled arrivals in application order, bounded by `cap`.
+    entries: VecDeque<(u32, u64)>,
     /// Highest arrival each video's ring has advanced to.
     cursors: HashMap<u32, u64>,
-    /// Tier a video had already transitioned to before the oldest retained
-    /// entry. A `Transition` op falling off the front of the ring is folded
-    /// in here instead of being dropped: arrivals age into approximation,
-    /// but the *protocol* a rebuild starts from is always exact.
-    base_tiers: HashMap<u32, Tier>,
     cap: usize,
 }
 
@@ -214,45 +188,21 @@ impl StateJournal {
         StateJournal {
             entries: VecDeque::new(),
             cursors: HashMap::new(),
-            base_tiers: HashMap::new(),
             cap: cap.max(1),
         }
-    }
-
-    /// Appends one op; returns true if an old entry was truncated to stay
-    /// within the cap.
-    fn push(&mut self, op: JournalOp) -> bool {
-        let truncated = if self.entries.len() == self.cap {
-            if let Some(JournalOp::Transition { video, tier, .. }) = self.entries.pop_front() {
-                self.base_tiers.insert(video, tier);
-            }
-            true
-        } else {
-            false
-        };
-        self.entries.push_back(op);
-        truncated
     }
 
     /// Records one scheduled arrival; returns true if an old entry was
     /// truncated to stay within the cap.
     fn record(&mut self, video: u32, arrival: u64) -> bool {
-        let truncated = self.push(JournalOp::Arrival { video, arrival });
+        let truncated = self.entries.len() == self.cap;
+        if truncated {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((video, arrival));
         let cursor = self.cursors.entry(video).or_insert(arrival);
         *cursor = (*cursor).max(arrival);
         truncated
-    }
-
-    /// Records one committed protocol transition; returns true if an old
-    /// entry was truncated to stay within the cap.
-    fn record_transition(&mut self, video: u32, tier: Tier, slot: u64) -> bool {
-        self.push(JournalOp::Transition { video, tier, slot })
-    }
-
-    /// The tier `video` was on before the oldest retained entry, when a
-    /// transition to it has been truncated away.
-    fn base_tier(&self, video: u32) -> Option<Tier> {
-        self.base_tiers.get(&video).copied()
     }
 }
 
@@ -326,7 +276,7 @@ fn run_shard(mut config: ShardConfig, rx: &Receiver<ShardMsg>) {
                     }
                     let backoff = backoff_for(restarts, &config.policy);
                     std::thread::sleep(backoff);
-                    let replayed = rebuild(config, &mut videos, &state);
+                    let replayed = rebuild(&mut videos, &state);
                     config.stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
                     config.journal.emit_with(|| Event::ShardRestarted {
                         shard,
@@ -415,11 +365,6 @@ fn handle_request(
             config.id
         );
     }
-    // The adaptive policy step runs before this arrival is scheduled, so a
-    // commit means the *current* request already lands on the new
-    // protocol's scheduler (requests admitted earlier keep their exact
-    // grants on the draining side).
-    maybe_transition(config, state, owned, video, arrival);
     let scheduler = &mut owned.scheduler;
     while scheduler.next_slot().index() < arrival {
         let (_slot, aired) = scheduler.pop_slot();
@@ -493,138 +438,27 @@ fn handle_request(
     );
 }
 
-/// Runs the per-video adaptive policy step for one arrival: feeds the
-/// popularity estimator and, when the engine proposes a tier change,
-/// attempts a glitch-free handover onto the new protocol's scheduler. A
-/// proposal landing mid-handover is refused by the [`TransitionScheduler`]
-/// and simply retried on a later arrival — refusals do not reset the
-/// engine's dwell clock, so the switch fires as soon as the old side has
-/// drained.
-fn maybe_transition(
-    config: &ShardConfig,
-    state: &mut StateJournal,
-    owned: &mut ShardVideo,
-    video: u32,
-    arrival: u64,
-) {
-    let Some(engine) = owned.engine.as_mut() else {
-        return;
-    };
-    engine.observe(arrival);
-    let Some(target) = engine.propose(arrival) else {
-        return;
-    };
-    let Ok(replacement) =
-        scheduler_for_tier(target, owned.scheduler.n_segments(), &Journal::disabled())
-    else {
-        return;
-    };
-    let from = owned.scheduler.name().to_owned();
-    if owned.scheduler.begin_transition(replacement).is_err() {
-        // Still draining the previous handover: keep serving on the
-        // current pair; a later arrival retries the proposal.
-        return;
-    }
-    let previous = engine.tier();
-    engine.commit(target, arrival);
-    let stats = &config.stats;
-    stats.policy_transitions.fetch_add(1, Ordering::Relaxed);
-    let direction = if target > previous {
-        &stats.policy_transitions_up
-    } else {
-        &stats.policy_transitions_down
-    };
-    direction.fetch_add(1, Ordering::Relaxed);
-    stats.policy_gauge(previous).fetch_sub(1, Ordering::Relaxed);
-    stats.policy_gauge(target).fetch_add(1, Ordering::Relaxed);
-    let to = owned.scheduler.name().to_owned();
-    if let Some(meta) = config.meta.get(video as usize) {
-        meta.set_live(&to, owned.scheduler.periods());
-    }
-    config.journal.emit_with(|| Event::ProtocolTransition {
-        video: u64::from(video),
-        from: from.clone(),
-        to: to.clone(),
-        slot: arrival,
-    });
-    // Journal the transition *after* it is applied, like arrivals: the
-    // entry describes committed state, so replay is exact.
-    if state.record_transition(video, target, arrival) {
-        stats
-            .shard_journal_truncated
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Rebuilds every scheduler from its catalog entry (or from the tier a
-/// truncated-away transition left it on) and replays the state journal —
-/// arrivals *and* committed transitions, in order — leaving the shard
-/// exactly where the panic found it (while the journal held full history).
-/// Replay applies exactly the journaled transitions; it never re-proposes,
-/// so a rebuild cannot invent switches the live run did not make. Returns
-/// the number of entries replayed.
-fn rebuild(
-    config: &ShardConfig,
-    videos: &mut HashMap<u32, ShardVideo>,
-    state: &StateJournal,
-) -> u64 {
+/// Rebuilds every scheduler from its catalog entry and replays the state
+/// journal, leaving the shard exactly where the panic found it (while the
+/// journal held full history). Returns the number of entries replayed.
+fn rebuild(videos: &mut HashMap<u32, ShardVideo>, state: &StateJournal) -> u64 {
     for owned in videos.values_mut() {
         // A deterministic build that succeeded at startup succeeds again;
         // on the defensive error path keep the old scheduler rather than
         // losing the video entirely.
-        let fresh = match state.base_tier(owned.id) {
-            Some(tier) => {
-                scheduler_for_tier(tier, owned.scheduler.n_segments(), &Journal::disabled()).ok()
-            }
-            None => owned.entry.build(&Journal::disabled()).ok().map(|(_, s)| s),
-        };
-        if let Some(fresh) = fresh {
-            owned.scheduler = TransitionScheduler::new(fresh);
-        }
-        // Reset the policy engine to the same baseline; replay rebuilds
-        // its estimator and tier below.
-        if let Some((cfg, startup_tier)) = &owned.adaptive {
-            let base = state.base_tier(owned.id).unwrap_or(*startup_tier);
-            owned.engine = Some(PolicyEngine::new(*cfg, base));
+        if let Ok((_, fresh)) = owned.entry.build(&Journal::disabled()) {
+            owned.scheduler = fresh;
         }
     }
-    for op in state.entries.iter().copied() {
-        match op {
-            JournalOp::Arrival { video, arrival } => {
-                if let Some(owned) = videos.get_mut(&video) {
-                    if let Some(engine) = owned.engine.as_mut() {
-                        engine.observe(arrival);
-                    }
-                    let scheduler = &mut owned.scheduler;
-                    // Instances aired here were already counted the first
-                    // time through — replay advances silently.
-                    while scheduler.next_slot().index() < arrival {
-                        let _ = scheduler.pop_slot();
-                    }
-                    let _ = scheduler.schedule_request(Slot::new(arrival));
-                }
+    for &(video, arrival) in &state.entries {
+        if let Some(owned) = videos.get_mut(&video) {
+            let scheduler = &mut owned.scheduler;
+            // Instances aired here were already counted the first time
+            // through — replay advances silently.
+            while scheduler.next_slot().index() < arrival {
+                let _ = scheduler.pop_slot();
             }
-            JournalOp::Transition { video, tier, slot } => {
-                if let Some(owned) = videos.get_mut(&video) {
-                    let Ok(replacement) = scheduler_for_tier(
-                        tier,
-                        owned.scheduler.n_segments(),
-                        &Journal::disabled(),
-                    ) else {
-                        continue;
-                    };
-                    // With full history this succeeds exactly where it
-                    // succeeded live (handover drain is a deterministic
-                    // function of the replayed arrivals); after truncation
-                    // it may refuse, leaving an approximate — still
-                    // deadline-clean — state, like truncated arrivals do.
-                    if owned.scheduler.begin_transition(replacement).is_ok() {
-                        if let Some(engine) = owned.engine.as_mut() {
-                            engine.commit(tier, slot);
-                        }
-                    }
-                }
-            }
+            let _ = scheduler.schedule_request(Slot::new(arrival));
         }
     }
     // Advance rings whose replayed entries were truncated away up to
@@ -633,15 +467,6 @@ fn rebuild(
         if let Some(owned) = videos.get_mut(&video) {
             while owned.scheduler.next_slot().index() < cursor {
                 let _ = owned.scheduler.pop_slot();
-            }
-        }
-    }
-    // `Describe` must reflect the rebuilt reality even if an approximate
-    // replay landed on a different protocol than the live run.
-    for owned in videos.values() {
-        if owned.engine.is_some() {
-            if let Some(meta) = config.meta.get(owned.id as usize) {
-                meta.set_live(owned.scheduler.name(), owned.scheduler.periods());
             }
         }
     }

@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use vod_obs::{LogHistogram, Registry, RejectKind};
-use vod_server::Tier;
 
 /// Shared counters for one [`Service`](crate::Service) instance.
 ///
@@ -80,18 +79,6 @@ pub struct ServiceStats {
     /// Sequence numbers a re-subscribing session skipped past because its
     /// channel ring had moved on while it was away (reported, not silent).
     pub ring_resume_gaps: AtomicU64,
-    /// Protocol transitions committed by the adaptive policy engine.
-    pub policy_transitions: AtomicU64,
-    /// Transitions to a hotter tier (toward NPB).
-    pub policy_transitions_up: AtomicU64,
-    /// Transitions to a colder tier (toward tapping).
-    pub policy_transitions_down: AtomicU64,
-    /// Adaptive-managed videos currently scheduled by stream tapping.
-    pub policy_active_tapping: AtomicU64,
-    /// Adaptive-managed videos currently scheduled by DHB.
-    pub policy_active_dhb: AtomicU64,
-    /// Adaptive-managed videos currently scheduled by NPB grants.
-    pub policy_active_npb: AtomicU64,
     latency: Vec<Mutex<LogHistogram>>,
 }
 
@@ -128,12 +115,6 @@ impl ServiceStats {
             ring_gaps: AtomicU64::new(0),
             bytes_delivered: AtomicU64::new(0),
             ring_resume_gaps: AtomicU64::new(0),
-            policy_transitions: AtomicU64::new(0),
-            policy_transitions_up: AtomicU64::new(0),
-            policy_transitions_down: AtomicU64::new(0),
-            policy_active_tapping: AtomicU64::new(0),
-            policy_active_dhb: AtomicU64::new(0),
-            policy_active_npb: AtomicU64::new(0),
             latency: (0..shards.max(1))
                 .map(|_| Mutex::new(LogHistogram::new()))
                 .collect(),
@@ -146,16 +127,6 @@ impl ServiceStats {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .record(ns);
-    }
-
-    /// The active-videos gauge for one policy tier.
-    #[must_use]
-    pub fn policy_gauge(&self, tier: Tier) -> &AtomicU64 {
-        match tier {
-            Tier::Cold => &self.policy_active_tapping,
-            Tier::Warm => &self.policy_active_dhb,
-            Tier::Hot => &self.policy_active_npb,
-        }
     }
 
     /// Bumps the rejection counter matching `reason`.
@@ -234,16 +205,6 @@ impl ServiceStats {
         *r.ensure_counter("svc.ring.gaps") = self.ring_gaps.load(Ordering::Relaxed);
         *r.ensure_counter("svc.bytes_delivered") = self.bytes_delivered.load(Ordering::Relaxed);
         *r.ensure_counter("svc.ring.resume_gaps") = self.ring_resume_gaps.load(Ordering::Relaxed);
-        *r.ensure_counter("svc.policy.transitions") =
-            self.policy_transitions.load(Ordering::Relaxed);
-        *r.ensure_counter("svc.policy.transitions_up") =
-            self.policy_transitions_up.load(Ordering::Relaxed);
-        *r.ensure_counter("svc.policy.transitions_down") =
-            self.policy_transitions_down.load(Ordering::Relaxed);
-        *r.ensure_counter("svc.policy.active_tapping") =
-            self.policy_active_tapping.load(Ordering::Relaxed);
-        *r.ensure_counter("svc.policy.active_dhb") = self.policy_active_dhb.load(Ordering::Relaxed);
-        *r.ensure_counter("svc.policy.active_npb") = self.policy_active_npb.load(Ordering::Relaxed);
         let latency = self.latency_histogram();
         if latency.count() > 0 {
             r.merge_histogram("svc.grant_latency_ns", &latency);
@@ -301,33 +262,13 @@ mod tests {
         stats.ring_evictions.fetch_add(2, Ordering::Relaxed);
         stats.ring_gaps.fetch_add(1, Ordering::Relaxed);
         stats.bytes_delivered.fetch_add(4096, Ordering::Relaxed);
+        stats.ring_resume_gaps.fetch_add(17, Ordering::Relaxed);
         let r = stats.snapshot();
         assert_eq!(r.counter("svc.ring.published"), 3);
         assert_eq!(r.counter("svc.ring.fanout"), 96);
         assert_eq!(r.counter("svc.ring.evictions"), 2);
         assert_eq!(r.counter("svc.ring.gaps"), 1);
         assert_eq!(r.counter("svc.bytes_delivered"), 4096);
-    }
-
-    #[test]
-    fn policy_counters_round_trip_through_snapshots() {
-        let stats = ServiceStats::new(1);
-        stats.policy_transitions.fetch_add(3, Ordering::Relaxed);
-        stats.policy_transitions_up.fetch_add(2, Ordering::Relaxed);
-        stats
-            .policy_transitions_down
-            .fetch_add(1, Ordering::Relaxed);
-        stats.policy_active_tapping.fetch_add(4, Ordering::Relaxed);
-        stats.policy_active_dhb.fetch_add(2, Ordering::Relaxed);
-        stats.policy_active_npb.fetch_add(1, Ordering::Relaxed);
-        stats.ring_resume_gaps.fetch_add(17, Ordering::Relaxed);
-        let r = stats.snapshot();
-        assert_eq!(r.counter("svc.policy.transitions"), 3);
-        assert_eq!(r.counter("svc.policy.transitions_up"), 2);
-        assert_eq!(r.counter("svc.policy.transitions_down"), 1);
-        assert_eq!(r.counter("svc.policy.active_tapping"), 4);
-        assert_eq!(r.counter("svc.policy.active_dhb"), 2);
-        assert_eq!(r.counter("svc.policy.active_npb"), 1);
         assert_eq!(r.counter("svc.ring.resume_gaps"), 17);
     }
 

@@ -144,6 +144,95 @@ fn shard_kill_mid_stream_keeps_grants_byte_identical() {
 }
 
 #[test]
+fn shard_kill_past_the_journal_cap_rebuilds_deadline_clean() {
+    // Two videos on one shard whose state journal holds only 8 entries.
+    // Video 1 takes arrivals 0..4, then video 0 takes 0..16 and the shard
+    // is killed at video 0's arrival 12: the journal then holds only video
+    // 0's arrivals 4..12, so the rebuild replays a truncated history and
+    // video 1 survives only as its ring cursor. The schedule afterwards is
+    // approximate, but every request must still be answered, on time,
+    // without virtual time running backwards.
+    let journal = Journal::enabled();
+    let service = Service::start(
+        "127.0.0.1:0",
+        &SvcConfig {
+            catalog: ServeCatalog::uniform(2, small_video()),
+            shards: 1,
+            dilation: 1_000,
+            journal: journal.clone(),
+            restart_backoff: Duration::from_millis(1),
+            shard_journal_cap: 8,
+            chaos: ChaosPlan::none().with_shard_kill(0, 12),
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+
+    let mut granted: Vec<Vec<u64>> = vec![Vec::new(); 2];
+    for (video, requests) in [(1u32, 4u64), (0, 16)] {
+        let load = LoadConfig {
+            mix: Some(vec![video]),
+            videos: 2,
+            ..chaos_load(requests)
+        };
+        let report = run_load(service.local_addr(), &load).expect("load run");
+        assert_eq!(report.grants, requests, "{}", report.render());
+        assert_eq!(report.rejected, 0, "{}", report.render());
+        assert_eq!(report.protocol_errors, 0, "{}", report.render());
+        assert_eq!(report.unrecoverable_conns, 0, "{}", report.render());
+        granted[video as usize].extend(report.grants_by_conn[0].iter().map(|g| g.arrival_slot));
+    }
+
+    // A stale request for video 1 after the rebuild is clamped exactly as
+    // the uninterrupted ring would clamp it: the cursor kept video 1's
+    // ring where it stood, although none of its arrivals were replayed.
+    let (_, mut uninterrupted) = ServeEntry::fixed_rate(small_video())
+        .build(&Journal::disabled())
+        .expect("entry builds");
+    offline_replay(uninterrupted.as_mut(), &granted[1]);
+    let clamp = uninterrupted.next_slot().index().saturating_sub(1);
+    let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+    write_frame(
+        &mut stream,
+        &Frame::Request {
+            seq: 0,
+            video: 1,
+            arrival_slot: 0,
+        },
+    )
+    .expect("write");
+    match read_frame(&mut stream).expect("read frame") {
+        Some(Frame::Grant { arrival_slot, .. }) => assert_eq!(arrival_slot, clamp),
+        other => panic!("expected a grant, got {other:?}"),
+    }
+
+    // Each video's grants in order must never step back across the kill.
+    for (video, slots) in granted.iter().enumerate() {
+        assert!(
+            slots.windows(2).all(|pair| pair[0] <= pair[1]),
+            "video {video}: arrival slots went backwards: {slots:?}"
+        );
+    }
+    let stats = service.stats().clone();
+    assert!(stats.shard_journal_truncated.load(Ordering::Relaxed) > 0);
+    assert_eq!(stats.shard_restarts.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.audit_deadline_misses.load(Ordering::Relaxed), 0);
+    assert!(stats.audit_segments_checked.load(Ordering::Relaxed) > 0);
+    drop(stream);
+    let _ = service.shutdown();
+    // The replay is bounded by the cap, not by the history.
+    let replayed = journal
+        .snapshot()
+        .into_iter()
+        .find_map(|r| match r.event {
+            Event::ShardRestarted { replayed, .. } => Some(replayed),
+            _ => None,
+        })
+        .expect("restart journaled");
+    assert_eq!(replayed, 8);
+}
+
+#[test]
 fn connection_reset_is_survived_by_session_resume() {
     // Reset the client's socket right after it submits arrival slot 5. The
     // client reconnects, resumes session 0, the server replays ring-held

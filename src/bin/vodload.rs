@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use vod_dhb::server::AdaptiveConfig;
 use vod_dhb::sim::{ArrivalShape, ZipfCatalog};
 use vod_dhb::svc::{
     fetch_stats, run_load, AdminClient, ChaosPlan, LoadConfig, ServeCatalog, Service, SvcConfig,
@@ -62,9 +61,6 @@ struct Args {
     zipf: Option<f64>,
     shape: ArrivalShape,
     shape_seed: u64,
-    adaptive: bool,
-    adaptive_window: Option<u64>,
-    adaptive_dwell: Option<u64>,
 }
 
 const USAGE: &str = "usage:\n  \
@@ -76,8 +72,7 @@ const USAGE: &str = "usage:\n  \
     [--timeout-secs 30] [--chaos SEED] [--chaos-stall-ms 50]\n          \
     [--telemetry-out telemetry.jsonl] [--admin-addr host:port]\n          \
     [--verify-bytes] [--data-rate BYTES_PER_MEDIA_SEC] [--store-seed SEED]\n          \
-    [--zipf S] [--ramp | --flash-crowd] [--shape-seed SEED] [--adaptive]\n          \
-    [--adaptive-window SLOTS] [--adaptive-dwell SLOTS]\n\n\
+    [--zipf S] [--ramp | --flash-crowd] [--shape-seed SEED]\n\n\
     --catalog self-hosts a heterogeneous catalog file (implies --self-host);\n\
     --mix pins each connection to a video id round-robin from the list;\n\
     --describe fetches per-video geometry (DESCRIBE) before driving load;\n\
@@ -101,11 +96,7 @@ const USAGE: &str = "usage:\n  \
     law (largest-remainder apportionment; overrides --mix);\n\
     --ramp / --flash-crowd pace requests on a seeded time-varying shape\n\
     (requires --rate, which becomes the shape's mean rate; --shape-seed\n\
-    makes the schedule reproducible);\n\
-    --adaptive self-hosts with the popularity-driven policy engine enabled\n\
-    (videos start warm/DHB and move between tapping, DHB and NPB as demand\n\
-    shifts; implies --self-host); --adaptive-window and --adaptive-dwell\n\
-    override the engine's estimator window and transition dwell in slots.";
+    makes the schedule reproducible).";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -138,9 +129,6 @@ fn parse_args() -> Result<Args, String> {
         zipf: None,
         shape: ArrivalShape::Steady,
         shape_seed: 0x5eed_5a9e,
-        adaptive: false,
-        adaptive_window: None,
-        adaptive_dwell: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -161,10 +149,6 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!("--ramp and --flash-crowd are exclusive\n\n{USAGE}"));
             }
             args.shape = ArrivalShape::parse(&flag[2..]).expect("known shape name");
-            continue;
-        }
-        if flag == "--adaptive" {
-            args.adaptive = true;
             continue;
         }
         if flag == "--help" || flag == "-h" {
@@ -220,19 +204,12 @@ fn parse_args() -> Result<Args, String> {
             "--store-seed" => args.store_seed = Some(num("--store-seed", &value("--store-seed")?)?),
             "--zipf" => args.zipf = Some(num("--zipf", &value("--zipf")?)?),
             "--shape-seed" => args.shape_seed = num("--shape-seed", &value("--shape-seed")?)?,
-            "--adaptive-window" => {
-                args.adaptive_window =
-                    Some(num("--adaptive-window", &value("--adaptive-window")?)?);
-            }
-            "--adaptive-dwell" => {
-                args.adaptive_dwell = Some(num("--adaptive-dwell", &value("--adaptive-dwell")?)?);
-            }
             other => return Err(format!("unknown option {other:?}\n\n{USAGE}")),
         }
     }
-    if args.catalog.is_some() || args.chaos.is_some() || args.adaptive {
-        // A catalog file, a chaos plan, or the adaptive engine only make
-        // sense for a service we start ourselves.
+    if args.catalog.is_some() || args.chaos.is_some() {
+        // A catalog file or a chaos plan only makes sense for a service we
+        // start ourselves.
         args.self_host = true;
     }
     if args.shape != ArrivalShape::Steady && args.rate.is_none() {
@@ -326,22 +303,6 @@ fn main() -> ExitCode {
                     };
                 ServeCatalog::uniform(args.videos, video)
             }
-        };
-        let catalog = if args.adaptive {
-            let mut adaptive = AdaptiveConfig::default();
-            if let Some(window) = args.adaptive_window {
-                adaptive.window_slots = window;
-            }
-            if let Some(dwell) = args.adaptive_dwell {
-                adaptive.min_dwell_slots = dwell;
-            }
-            if let Err(e) = adaptive.validate() {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            catalog.with_adaptive(adaptive)
-        } else {
-            catalog
         };
         hosted_videos = Some(catalog.len() as u32);
         let chaos = match args.chaos {
