@@ -4,7 +4,7 @@
 //!
 //! Workload: 200 slots × 20 requests on the paper's 99-segment video —
 //! 4 000 `schedule_request` calls, each placing or sharing 99 segment
-//! instances. Three configurations, all measured in the same run:
+//! instances. Two configurations, both measured in the same run:
 //!
 //! * **noop journal** — the shipping default: emission points present, a
 //!   disabled [`Journal`] attached. The only added work is one branch per
@@ -12,17 +12,12 @@
 //! * **ring journal** — a full [`Journal::enabled`] sink: every decision
 //!   constructs an event and pushes it into the ring (evicting at
 //!   capacity), the worst case a `vodsim trace` run pays.
-//! * **sampled ring** — the ring with the hot per-segment kinds sampled
-//!   1-in-64 via [`Journal::set_sampling`]: counts stay exact, the ring
-//!   keeps a representative slice, and a sampled-out emission never
-//!   constructs its event (but still counts it with an atomic add).
 //!
-//! The table states the ring and sampled rows as ratios over the noop row,
-//! so it compares nothing across hosts. The two asserts still hold both
-//! configurations to their historical bounds over a recorded
-//! pre-instrumentation time; since the latest-instance index made
-//! `schedule_request` several times cheaper, they pass by a wide margin
-//! and no longer bound the journal's cost.
+//! The table states the ring row as a ratio over the noop row, so it
+//! compares nothing across hosts. The assert still holds the noop row to
+//! its historical bound over a recorded pre-instrumentation time; since the
+//! latest-instance index made `schedule_request` several times cheaper, it
+//! passes by a wide margin.
 //!
 //! Timing is best-of-15 after 3 warm-up cycles; best-of is robust to
 //! scheduler jitter on shared machines. Results land in
@@ -32,22 +27,18 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dhb_core::DhbScheduler;
-use vod_obs::{EventKind, Journal};
+use vod_obs::Journal;
 use vod_sim::Table;
 use vod_types::Slot;
 
 /// Best-of-15 ns per `schedule_request` on the reference machine, measured
 /// on the same workload *before* any emission point existed in the
 /// scheduler, and with the window-scan kernel (see DESIGN.md §10). Used
-/// only by the historical bounds below.
+/// only by the historical bound below.
 const PRE_INSTRUMENTATION_NS: f64 = 6337.0;
 
 /// The acceptance bound: a disabled journal may cost at most 5 %.
 const NOOP_OVERHEAD_BOUND: f64 = 0.05;
-
-/// The sampled ring (1-in-64 on the per-segment kinds) may cost at most
-/// 10 % — cheap enough to stay on in a live service.
-const SAMPLED_OVERHEAD_BOUND: f64 = 0.10;
 
 const SEGMENTS: usize = 99;
 const SLOTS: u64 = 200;
@@ -92,22 +83,11 @@ fn main() {
     eprintln!("measuring ring journal…");
     let ring = Journal::enabled();
     let ring_ns = measure(Some(&ring));
-    eprintln!("measuring sampled ring…");
-    let sampled = Journal::enabled();
-    for kind in [
-        EventKind::InstanceScheduled,
-        EventKind::Rescheduled,
-        EventKind::PlaybackDeferred,
-    ] {
-        sampled.set_sampling(kind, 64);
-    }
-    let sampled_ns = measure(Some(&sampled));
 
     let mut table = Table::new(vec!["configuration", "ns/request", "× noop (same run)"]);
     for (name, ns) in [
         ("noop journal (default)", noop_ns),
         ("ring journal (trace runs)", ring_ns),
-        ("sampled ring (1-in-64 hot kinds)", sampled_ns),
     ] {
         table.push_row(vec![
             name.to_owned(),
@@ -127,18 +107,11 @@ fn main() {
         noop_ns,
         NOOP_OVERHEAD_BOUND * 100.0
     );
-    assert!(
-        sampled_ns <= PRE_INSTRUMENTATION_NS * (1.0 + SAMPLED_OVERHEAD_BOUND),
-        "sampled-ring overhead {:.1} ns exceeds the {:.0}% bound over {PRE_INSTRUMENTATION_NS} ns",
-        sampled_ns,
-        SAMPLED_OVERHEAD_BOUND * 100.0
-    );
     println!(
-        "[overhead check passed: noop {noop_ns:.1} ns/request within {:.0}%, sampled ring \
-         {sampled_ns:.1} ns within {:.0}% of the pre-instrumentation {PRE_INSTRUMENTATION_NS:.1} ns; \
-         sampled ring costs {:.2}× noop in this run]",
+        "[overhead check passed: noop {noop_ns:.1} ns/request within {:.0}% of the \
+         pre-instrumentation {PRE_INSTRUMENTATION_NS:.1} ns; ring journal costs {:.2}× noop \
+         in this run]",
         NOOP_OVERHEAD_BOUND * 100.0,
-        SAMPLED_OVERHEAD_BOUND * 100.0,
-        sampled_ns / noop_ns
+        ring_ns / noop_ns
     );
 }

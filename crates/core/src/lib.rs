@@ -54,4 +54,4 @@ pub use audit::{
 pub use heuristic::SlotHeuristic;
 pub use protocol::{Dhb, DhbStats};
 pub use scheduler::{DhbScheduler, RecoveryStats, ScheduledSegment, SchedulerError};
-pub use slot_scheduler::{PlanScheduler, ScheduledProtocol, SchedulerStats, SlotScheduler};
+pub use slot_scheduler::{PlanScheduler, SchedulerStats, SlotScheduler};

@@ -93,20 +93,6 @@ impl Dhb {
         )
     }
 
-    /// Custom periods with the paper's heuristic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `periods` is empty or contains a zero.
-    #[must_use]
-    pub fn with_periods(name: impl Into<String>, periods: Vec<u64>) -> Self {
-        Dhb::from_scheduler(
-            name.into(),
-            DhbScheduler::new(periods, SlotHeuristic::MinLoadLatest),
-            0,
-        )
-    }
-
     /// Fixed-rate DHB whose clients may receive at most `limit` streams per
     /// slot (the paper's Section-5 future work).
     ///

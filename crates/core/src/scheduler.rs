@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
-use vod_obs::{Event, EventKind, Journal};
+use vod_obs::{Event, Journal};
 use vod_types::{SegmentId, Slot};
 
 use crate::heuristic::SlotHeuristic;
@@ -614,15 +614,14 @@ impl DhbScheduler {
             }
             let newly_scheduled = shareable.is_none();
             let slot = self.base + off as u64;
-            self.journal
-                .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
-                    segment: j as u32,
-                    shared: !newly_scheduled,
-                    window_start: arrival.index() + 1,
-                    window_end: deadline,
-                    slot,
-                    load: self.ring[off].load,
-                });
+            self.journal.emit_with(|| Event::InstanceScheduled {
+                segment: j as u32,
+                shared: !newly_scheduled,
+                window_start: arrival.index() + 1,
+                window_end: deadline,
+                slot,
+                load: self.ring[off].load,
+            });
             out.push(ScheduledSegment {
                 segment: seg,
                 slot: Slot::new(slot),
@@ -755,12 +754,11 @@ impl DhbScheduler {
                 let width = (deadline - self.base + 1) as usize;
                 let placed = replant(self, seg, width, deadline, retries + 1);
                 self.recovery.reschedules += 1;
-                self.journal
-                    .emit_kind(EventKind::Rescheduled, || Event::Rescheduled {
-                        segment: seg.get() as u32,
-                        from_slot: slot,
-                        to_slot: placed,
-                    });
+                self.journal.emit_with(|| Event::Rescheduled {
+                    segment: seg.get() as u32,
+                    from_slot: slot,
+                    to_slot: placed,
+                });
             } else {
                 // Slack exhausted: degrade gracefully by deferring the
                 // dependents' playback into a fresh window instead of
@@ -775,13 +773,12 @@ impl DhbScheduler {
                 let off = (placed - self.base) as usize;
                 let d = &mut self.ring[off].deadline[idx];
                 *d = (*d).min(placed);
-                self.journal
-                    .emit_kind(EventKind::PlaybackDeferred, || Event::PlaybackDeferred {
-                        segment: seg.get() as u32,
-                        from_slot: slot,
-                        to_slot: placed,
-                        stall_slots: stall,
-                    });
+                self.journal.emit_with(|| Event::PlaybackDeferred {
+                    segment: seg.get() as u32,
+                    from_slot: slot,
+                    to_slot: placed,
+                    stall_slots: stall,
+                });
             }
         }
         self.last_popped = Some((slot, plan));

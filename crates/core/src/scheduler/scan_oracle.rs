@@ -7,7 +7,7 @@
 //! exactly; the property tests below drive both with the same script and
 //! compare every outcome.
 
-use vod_obs::{Event, EventKind};
+use vod_obs::Event;
 use vod_types::{SegmentId, Slot};
 
 use super::{DhbScheduler, ScheduledSegment};
@@ -71,15 +71,14 @@ pub(super) fn schedule_request(s: &mut DhbScheduler, arrival: Slot) -> Vec<Sched
             plan.deadline[j - 1] = plan.deadline[j - 1].min(deadline);
             let load = plan.load;
             let slot = s.base + off as u64;
-            s.journal
-                .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
-                    segment: j as u32,
-                    shared: true,
-                    window_start: arrival.index() + 1,
-                    window_end: deadline,
-                    slot,
-                    load,
-                });
+            s.journal.emit_with(|| Event::InstanceScheduled {
+                segment: j as u32,
+                shared: true,
+                window_start: arrival.index() + 1,
+                window_end: deadline,
+                slot,
+                load,
+            });
             out.push(ScheduledSegment {
                 segment: seg,
                 slot: Slot::new(slot),
@@ -132,15 +131,14 @@ pub(super) fn schedule_request(s: &mut DhbScheduler, arrival: Slot) -> Vec<Sched
         place_new(s, seg, ring_idx, deadline, &mut client_load, &mut out);
         let load = s.ring[ring_idx].load;
         let slot = s.base + ring_idx as u64;
-        s.journal
-            .emit_kind(EventKind::InstanceScheduled, || Event::InstanceScheduled {
-                segment: j as u32,
-                shared: false,
-                window_start: arrival.index() + 1,
-                window_end: deadline,
-                slot,
-                load,
-            });
+        s.journal.emit_with(|| Event::InstanceScheduled {
+            segment: j as u32,
+            shared: false,
+            window_start: arrival.index() + 1,
+            window_end: deadline,
+            slot,
+            load,
+        });
     }
     out
 }

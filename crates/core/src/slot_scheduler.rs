@@ -6,8 +6,8 @@
 //! heuristics and period vectors; `vod-protocols` contributes an NPB
 //! adapter; [`PlanScheduler`] backs it with per-segment periods from the
 //! VBR pipeline ([`vod_trace::BroadcastPlan`], the paper's DHB-d). Shards
-//! in the live service and workloads in the simulation kernel hold a
-//! `Box<dyn SlotScheduler>` and never special-case DHB again.
+//! in the live service hold a `Box<dyn SlotScheduler + Send>` and never
+//! special-case DHB again.
 
 use vod_trace::BroadcastPlan;
 use vod_types::{SegmentId, Slot};
@@ -66,40 +66,6 @@ pub trait SlotScheduler {
 
     /// A point-in-time snapshot of the cumulative counters.
     fn stats(&self) -> SchedulerStats;
-}
-
-impl<S: SlotScheduler + ?Sized> SlotScheduler for Box<S> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn n_segments(&self) -> usize {
-        (**self).n_segments()
-    }
-
-    fn periods(&self) -> &[u64] {
-        (**self).periods()
-    }
-
-    fn next_slot(&self) -> Slot {
-        (**self).next_slot()
-    }
-
-    fn schedule_request(&mut self, arrival: Slot) -> Vec<ScheduledSegment> {
-        (**self).schedule_request(arrival)
-    }
-
-    fn pop_slot(&mut self) -> (Slot, Vec<SegmentId>) {
-        (**self).pop_slot()
-    }
-
-    fn planned_segments(&self, slot: Slot) -> Vec<SegmentId> {
-        (**self).planned_segments(slot)
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        (**self).stats()
-    }
 }
 
 impl SlotScheduler for DhbScheduler {
@@ -223,79 +189,12 @@ impl SlotScheduler for PlanScheduler {
     }
 }
 
-/// Adapts any [`SlotScheduler`] to the simulation kernel's
-/// [`vod_sim::SlottedProtocol`], replacing per-protocol adapter code in the
-/// workloads: requests become [`schedule_request`](SlotScheduler::schedule_request)
-/// calls and each simulated slot pops the ring.
-#[derive(Debug)]
-pub struct ScheduledProtocol<S> {
-    inner: S,
-    playback_delay_slots: u64,
-}
-
-impl<S: SlotScheduler> ScheduledProtocol<S> {
-    /// Wraps `scheduler` with playback beginning in the slot after arrival.
-    #[must_use]
-    pub fn new(scheduler: S) -> Self {
-        ScheduledProtocol {
-            inner: scheduler,
-            playback_delay_slots: 0,
-        }
-    }
-
-    /// Defers playback by `slots` after the arrival slot (VBR variants
-    /// other than DHB-a start playback one slot late).
-    #[must_use]
-    pub fn with_playback_delay(mut self, slots: u64) -> Self {
-        self.playback_delay_slots = slots;
-        self
-    }
-
-    /// The wrapped scheduler.
-    pub fn scheduler(&self) -> &S {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped scheduler.
-    pub fn scheduler_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-}
-
-impl<S: SlotScheduler> vod_sim::SlottedProtocol for ScheduledProtocol<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn on_request(&mut self, slot: Slot) {
-        let _ = self.inner.schedule_request(slot);
-    }
-
-    fn transmissions_in(&mut self, slot: Slot) -> u32 {
-        while self.inner.next_slot() < slot {
-            let _ = self.inner.pop_slot();
-        }
-        let (popped, segments) = self.inner.pop_slot();
-        debug_assert_eq!(popped, slot, "kernel and ring disagree on time");
-        segments.len() as u32
-    }
-
-    fn playback_delay_slots(&self) -> u64 {
-        self.playback_delay_slots
-    }
-
-    fn stall_slots(&self) -> u64 {
-        self.inner.stats().stall_slots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_sim::{DeterministicArrivals, SlottedRun};
     use vod_trace::matrix::matrix_like;
     use vod_trace::DhbVariant;
-    use vod_types::{Seconds, VideoSpec};
+    use vod_types::Seconds;
 
     #[test]
     fn dhb_scheduler_speaks_the_trait() {
@@ -342,21 +241,6 @@ mod tests {
                 "grants must be byte-identical through the trait"
             );
         }
-    }
-
-    #[test]
-    fn scheduled_protocol_runs_under_the_kernel() {
-        let video = VideoSpec::new(Seconds::new(60.0), 6).expect("valid spec");
-        let d = video.segment_duration().as_secs_f64();
-        let times: Vec<Seconds> = (0..8).map(|a| Seconds::new((a as f64 + 0.5) * d)).collect();
-        let mut protocol = ScheduledProtocol::new(DhbScheduler::fixed_rate(6));
-        let report = SlottedRun::new(video)
-            .warmup_slots(0)
-            .measured_slots(16)
-            .run(&mut protocol, DeterministicArrivals::new(times));
-        assert_eq!(report.total_requests, 8);
-        assert_eq!(protocol.scheduler().stats().requests, 8);
-        assert!(report.avg_bandwidth.get() > 0.0);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dhb_core::{Dhb, DhbScheduler, ScheduledProtocol, SlotHeuristic, SlotScheduler};
+use dhb_core::{DhbScheduler, SlotHeuristic, SlotScheduler};
 use proptest::prelude::*;
-use vod_sim::{DeterministicArrivals, SlottedRun};
-use vod_types::{Seconds, Slot, VideoSpec};
+use vod_types::Slot;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -137,33 +136,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// The trait adapter matches the native protocol on a spill-sized
-    /// catalog: the same request script yields the same bandwidth trace.
-    #[test]
-    fn adapter_matches_native_dhb_above_the_boundary(
-        arrivals in prop::collection::vec(0.0f64..2_000.0, 0..25),
-    ) {
-        let n = 150;
-        let mut sorted = arrivals;
-        sorted.sort_by(f64::total_cmp);
-        let video = VideoSpec::new(Seconds::new(3_000.0), n).unwrap();
-        let horizon = 2 * n as u64 + 40;
-        let script = || {
-            DeterministicArrivals::new(sorted.iter().map(|&t| Seconds::new(t)).collect())
-        };
-        let mut native = Dhb::fixed_rate(n);
-        let native_report = SlottedRun::new(video)
-            .warmup_slots(0)
-            .measured_slots(horizon)
-            .run(&mut native, script());
-        let mut adapted = ScheduledProtocol::new(DhbScheduler::fixed_rate(n));
-        let adapted_report = SlottedRun::new(video)
-            .warmup_slots(0)
-            .measured_slots(horizon)
-            .run(&mut adapted, script());
-        prop_assert_eq!(native_report.avg_bandwidth, adapted_report.avg_bandwidth);
-        prop_assert_eq!(native_report.max_bandwidth, adapted_report.max_bandwidth);
     }
 }

@@ -1,7 +1,7 @@
 //! The ring-buffered event collector.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::event::{Event, EventKind};
@@ -9,8 +9,7 @@ use crate::event::{Event, EventKind};
 /// A journal entry: the event plus its ring sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
-    /// 0-based position among *retained* events (dense even when per-kind
-    /// sampling drops emissions), stable across ring eviction.
+    /// 0-based position among emitted events, stable across ring eviction.
     pub seq: u64,
     /// The event itself.
     pub event: Event,
@@ -24,15 +23,11 @@ struct Inner {
     evicted: u64,
 }
 
-/// The lock-free front half of an enabled journal: exact per-kind emission
-/// counts and the sampling configuration live outside the ring mutex, so a
-/// sampled-out emission costs one relaxed `fetch_add` and a mask — no lock,
-/// no event construction (via [`Journal::emit_kind`]).
+/// An enabled journal: exact per-kind emission counts (relaxed atomics,
+/// readable without the ring lock) plus the ring itself.
 #[derive(Debug)]
 struct Shared {
     counts: [AtomicU64; EventKind::COUNT],
-    /// Keep-1-in-N factor per kind, always a power of two (1 = keep all).
-    sample_every: [AtomicU32; EventKind::COUNT],
     inner: Mutex<Inner>,
 }
 
@@ -43,13 +38,6 @@ struct Shared {
 /// `Default`) carries no buffer at all: [`emit_with`](Journal::emit_with) on
 /// it is a single branch and never builds the event, which is what keeps
 /// instrumented hot paths within the ≤5 % no-op overhead budget.
-///
-/// An enabled journal can additionally *sample* hot event kinds: after
-/// [`set_sampling`](Journal::set_sampling)`(kind, n)` only one in `n`
-/// emissions of that kind is retained in the ring, while the per-kind counts
-/// ([`count_of`](Journal::count_of), [`total_emitted`](Journal::total_emitted))
-/// stay exact. On hot paths prefer [`emit_kind`](Journal::emit_kind), which
-/// decides sampling *before* building the event.
 ///
 /// # Example
 ///
@@ -96,7 +84,6 @@ impl Journal {
         Journal {
             shared: Some(Arc::new(Shared {
                 counts: std::array::from_fn(|_| AtomicU64::new(0)),
-                sample_every: std::array::from_fn(|_| AtomicU32::new(1)),
                 inner: Mutex::new(Inner {
                     ring: VecDeque::new(),
                     capacity,
@@ -107,33 +94,6 @@ impl Journal {
         }
     }
 
-    /// Builder form of [`set_sampling`](Journal::set_sampling).
-    #[must_use]
-    pub fn with_sampling(self, kind: EventKind, every: u32) -> Self {
-        self.set_sampling(kind, every);
-        self
-    }
-
-    /// Retain only one in `every` emissions of `kind` in the ring (counts
-    /// stay exact). `every` is rounded up to the next power of two so the
-    /// hot-path sampling decision is a mask instead of a division; 0 and 1
-    /// both mean "keep all". No-op on a disabled journal.
-    pub fn set_sampling(&self, kind: EventKind, every: u32) {
-        if let Some(shared) = &self.shared {
-            let every = every.max(1).next_power_of_two();
-            shared.sample_every[kind.index()].store(every, Ordering::Relaxed);
-        }
-    }
-
-    /// The effective keep-1-in-N factor for `kind` (1 when disabled or
-    /// unsampled).
-    #[must_use]
-    pub fn sampling_of(&self, kind: EventKind) -> u32 {
-        self.shared
-            .as_ref()
-            .map_or(1, |s| s.sample_every[kind.index()].load(Ordering::Relaxed))
-    }
-
     /// Whether emissions are collected.
     #[inline]
     #[must_use]
@@ -141,49 +101,19 @@ impl Journal {
         self.shared.is_some()
     }
 
-    /// Records `event`; drops it silently when disabled, and counts-but-drops
-    /// it when its kind is sampled out.
+    /// Records `event`; drops it silently when disabled.
     #[inline]
     pub fn emit(&self, event: Event) {
         if let Some(shared) = &self.shared {
-            if shared.admit(event.kind()) {
-                shared.push(event);
-            }
+            shared.push(event);
         }
     }
 
     /// Records the event built by `build`, calling it only when enabled.
-    ///
-    /// The build runs before the sampling decision because the kind is not
-    /// known until the event exists; when the emitting site knows the kind
-    /// statically, prefer [`emit_kind`](Journal::emit_kind), which skips
-    /// construction for sampled-out emissions.
     #[inline]
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
         if let Some(shared) = &self.shared {
-            let event = build();
-            if shared.admit(event.kind()) {
-                shared.push(event);
-            }
-        }
-    }
-
-    /// Records an event of a statically-known kind, building it only when
-    /// the emission survives sampling. This is the hot-path entry point: a
-    /// sampled-out emission costs one relaxed `fetch_add` plus a mask.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the built event's kind matches `kind` — the count
-    /// taken at admission time is attributed to `kind`.
-    #[inline]
-    pub fn emit_kind(&self, kind: EventKind, build: impl FnOnce() -> Event) {
-        if let Some(shared) = &self.shared {
-            if shared.admit(kind) {
-                let event = build();
-                debug_assert_eq!(event.kind(), kind, "emit_kind kind mismatch");
-                shared.push(event);
-            }
+            shared.push(build());
         }
     }
 
@@ -199,8 +129,7 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Total events emitted over the journal's lifetime — eviction- and
-    /// sampling-proof (sampled-out emissions still count).
+    /// Total events emitted over the journal's lifetime (eviction-proof).
     #[must_use]
     pub fn total_emitted(&self) -> u64 {
         self.shared.as_ref().map_or(0, |shared| {
@@ -218,8 +147,7 @@ impl Journal {
         self.with_inner(|inner| inner.evicted).unwrap_or(0)
     }
 
-    /// Lifetime emission count for one event kind (eviction- and
-    /// sampling-proof).
+    /// Lifetime emission count for one event kind (eviction-proof).
     #[must_use]
     pub fn count_of(&self, kind: EventKind) -> u64 {
         self.shared
@@ -252,38 +180,28 @@ impl Journal {
         }
     }
 
-    /// A fresh journal with this one's enabled-ness, ring capacity and
-    /// sampling configuration but its own buffer — the per-thread sink a
-    /// parallel runner hands each worker, folded back afterwards with
-    /// [`absorb`](Journal::absorb).
+    /// A fresh journal with this one's enabled-ness and ring capacity but
+    /// its own buffer — the per-thread sink a parallel runner hands each
+    /// worker, folded back afterwards with [`absorb`](Journal::absorb).
     #[must_use]
     pub fn worker(&self) -> Journal {
         let Some(shared) = &self.shared else {
             return Journal::disabled();
         };
         let capacity = shared.inner.lock().expect("journal lock poisoned").capacity;
-        let worker = Journal::with_capacity(capacity);
-        if let Some(worker_shared) = &worker.shared {
-            for (theirs, ours) in worker_shared.sample_every.iter().zip(&shared.sample_every) {
-                theirs.store(ours.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-        }
-        worker
+        Journal::with_capacity(capacity)
     }
 
-    /// Drains `other` and re-emits its surviving events here, in their
-    /// original order, under this journal's sequence numbering. Absorbed
-    /// events bypass this journal's sampling — they already survived the
-    /// worker's identical sampling decision once. A no-op when either side
-    /// is disabled or when `other` shares this buffer (absorbing a clone of
-    /// ourselves would duplicate every event).
+    /// Drains `other` and re-emits its buffered events here, in their
+    /// original order, under this journal's sequence numbering. A no-op
+    /// when either side is disabled or when `other` shares this buffer
+    /// (absorbing a clone of ourselves would duplicate every event).
     pub fn absorb(&self, other: &Journal) {
         let Some(shared) = &self.shared else { return };
         if self.shares_buffer_with(other) {
             return;
         }
         for record in other.drain() {
-            shared.counts[record.event.kind().index()].fetch_add(1, Ordering::Relaxed);
             shared.push(record.event);
         }
     }
@@ -296,18 +214,8 @@ impl Journal {
 }
 
 impl Shared {
-    /// Counts the emission and decides whether it survives sampling — the
-    /// lock-free half of every emit.
-    #[inline]
-    fn admit(&self, kind: EventKind) -> bool {
-        let idx = kind.index();
-        let n = self.sample_every[idx].load(Ordering::Relaxed);
-        let seen = self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        // `n` is a power of two, so the 1-in-n decision is a mask.
-        n <= 1 || seen & u64::from(n - 1) == 0
-    }
-
     fn push(&self, event: Event) {
+        self.counts[event.kind().index()].fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("journal lock poisoned");
         if inner.ring.len() == inner.capacity {
             inner.ring.pop_front();
@@ -333,11 +241,9 @@ mod tests {
         assert!(!j.is_enabled());
         j.emit(arrival(1));
         j.emit_with(|| panic!("must not be built"));
-        j.emit_kind(EventKind::RequestArrived, || panic!("must not be built"));
         assert!(j.is_empty());
         assert_eq!(j.total_emitted(), 0);
         assert_eq!(j.count_of(EventKind::RequestArrived), 0);
-        assert_eq!(j.sampling_of(EventKind::RequestArrived), 1);
         assert!(j.snapshot().is_empty());
     }
 
@@ -399,75 +305,22 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_one_in_n_with_exact_counts() {
-        let j = Journal::with_capacity(1024).with_sampling(EventKind::RequestArrived, 4);
-        assert_eq!(j.sampling_of(EventKind::RequestArrived), 4);
-        for slot in 0..16 {
-            j.emit(arrival(slot));
-        }
-        assert_eq!(j.len(), 4, "keeps the 1st of every 4");
-        assert_eq!(j.count_of(EventKind::RequestArrived), 16);
-        assert_eq!(j.total_emitted(), 16);
-        let kept: Vec<u64> = j
-            .snapshot()
-            .iter()
-            .map(|r| match r.event {
-                Event::RequestArrived { slot } => slot,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![0, 4, 8, 12]);
-        // Retained records stay densely sequenced.
-        assert_eq!(
-            j.snapshot().iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn sampling_rounds_up_to_power_of_two() {
-        let j = Journal::with_capacity(8).with_sampling(EventKind::RequestArrived, 3);
-        assert_eq!(j.sampling_of(EventKind::RequestArrived), 4);
-        let j = Journal::with_capacity(8).with_sampling(EventKind::RequestArrived, 0);
-        assert_eq!(j.sampling_of(EventKind::RequestArrived), 1);
-    }
-
-    #[test]
-    fn emit_kind_skips_building_sampled_out_events() {
-        let j = Journal::with_capacity(64).with_sampling(EventKind::RequestArrived, 2);
-        let mut built = 0u32;
-        for slot in 0..8 {
-            j.emit_kind(EventKind::RequestArrived, || {
-                built += 1;
-                arrival(slot)
-            });
-        }
-        assert_eq!(built, 4);
-        assert_eq!(j.len(), 4);
-        assert_eq!(j.count_of(EventKind::RequestArrived), 8);
-        // Other kinds are unaffected.
-        j.emit_kind(EventKind::SlotClosed, || Event::SlotClosed {
-            slot: 0,
-            scheduled: 1,
-            transmitted: 1,
-        });
-        assert_eq!(j.count_of(EventKind::SlotClosed), 1);
-        assert_eq!(j.len(), 5);
-    }
-
-    #[test]
-    fn worker_inherits_sampling_and_absorb_does_not_resample() {
-        let parent = Journal::with_capacity(64).with_sampling(EventKind::RequestArrived, 4);
+    fn absorb_folds_a_worker_buffer_back_in_order() {
+        let parent = Journal::with_capacity(64);
+        parent.emit(arrival(0));
         let worker = parent.worker();
-        assert_eq!(worker.sampling_of(EventKind::RequestArrived), 4);
-        for slot in 0..8 {
+        assert!(!worker.shares_buffer_with(&parent));
+        for slot in 1..4 {
             worker.emit(arrival(slot));
         }
-        assert_eq!(worker.len(), 2);
         parent.absorb(&worker);
-        // Both survivors land in the parent despite its own 1-in-4 config.
-        assert_eq!(parent.len(), 2);
-        assert_eq!(parent.count_of(EventKind::RequestArrived), 2);
         assert!(worker.is_empty());
+        assert_eq!(parent.count_of(EventKind::RequestArrived), 4);
+        let records = parent.snapshot();
+        assert_eq!(
+            records.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        assert_eq!(records[3].event, arrival(3));
     }
 }

@@ -14,10 +14,8 @@
 //!   crate re-exports for compatibility.
 //! - [`HotTimer`] / [`Observer`]: monotonic scoped timers around the
 //!   scheduler and engine hot paths, reported as ns/op percentiles.
-//! - [`WindowWheel`] / [`SpanSink`]: the live-telemetry primitives — a fixed
-//!   wheel of rotating per-window registries (rates and sliding percentiles
-//!   instead of cumulative totals) and per-key per-stage span histograms
-//!   that decompose request latency across pipeline stages.
+//! - [`SpanSink`]: the live-telemetry primitive — per-key per-stage span
+//!   histograms that decompose request latency across pipeline stages.
 //!
 //! The crate is dependency-free (std only) so it can sit below every other
 //! layer of the workspace.
@@ -33,7 +31,6 @@ mod registry;
 mod span;
 mod stats;
 mod timer;
-mod window;
 
 pub use event::{Event, EventKind, FaultKind, RejectKind};
 pub use journal::{EventRecord, Journal};
@@ -42,4 +39,3 @@ pub use registry::{HistogramSummary, Registry};
 pub use span::{SpanRecord, SpanSink};
 pub use stats::{LoadHistogram, RunningStats, TimeWeightedMax};
 pub use timer::{HotTimer, LogHistogram, ScopedTimer};
-pub use window::WindowWheel;

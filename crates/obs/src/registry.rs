@@ -220,50 +220,6 @@ impl Registry {
         out.push_str("}\n}\n");
         out
     }
-
-    /// Serialises the snapshot as one compact JSON line — same structure and
-    /// key order as [`to_json_pretty`](Registry::to_json_pretty), no interior
-    /// newlines, no trailing newline. Suitable for JSONL telemetry streams.
-    #[must_use]
-    pub fn to_json_compact(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}{}:{value}", json_string(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}{}:", json_string(name));
-            write_json_f64(&mut out, *value);
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for name in self.histograms.keys() {
-            let Some(s) = self.histogram_summary(name) else {
-                continue;
-            };
-            let sep = if first { "" } else { "," };
-            first = false;
-            let _ = write!(
-                out,
-                "{sep}{}:{{\"count\":{},\"min\":{},\"max\":{},\"mean\":",
-                json_string(name),
-                s.count,
-                s.min,
-                s.max
-            );
-            write_json_f64(&mut out, s.mean);
-            let _ = write!(
-                out,
-                ",\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                s.p50, s.p90, s.p99
-            );
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 fn json_string(s: &str) -> String {
@@ -379,25 +335,6 @@ mod tests {
         let json = Registry::new().to_json_pretty();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
-    }
-
-    #[test]
-    fn compact_snapshot_is_one_line_with_same_content() {
-        let mut r = Registry::new();
-        r.inc("a.one", 1);
-        r.set_gauge("g", 0.5);
-        r.observe("t", 7);
-        let compact = r.to_json_compact();
-        assert!(!compact.contains('\n'));
-        assert!(compact.contains("\"a.one\":1"));
-        assert!(compact.contains("\"g\":0.5"));
-        assert!(compact.contains("\"p99\":7"));
-        assert!(compact.starts_with("{\"counters\":{"));
-        assert!(compact.ends_with("}}"));
-        assert_eq!(
-            Registry::new().to_json_compact(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! clock and sums per-slot loads, giving the true joint peak a server
 //! would have to provision for.
 
-use dhb_core::{DhbScheduler, ScheduledProtocol};
+use dhb_core::Dhb;
 use vod_protocols::npb::npb_streams_for;
 use vod_protocols::UniversalDistribution;
 use vod_sim::{ArrivalProcess, PoissonProcess, RunningStats, SimRng, SlottedProtocol};
@@ -40,9 +40,7 @@ impl Server {
         for entry in self.catalog().entries() {
             let n = entry.spec.n_segments();
             let protocol: Box<dyn SlottedProtocol> = match policy {
-                Policy::DhbEverywhere => {
-                    Box::new(ScheduledProtocol::new(DhbScheduler::fixed_rate(n)))
-                }
+                Policy::DhbEverywhere => Box::new(Dhb::fixed_rate(n)),
                 Policy::UdEverywhere => Box::new(UniversalDistribution::new(n)),
                 // NPB is accounted at its *allocated* bandwidth (the paper's
                 // convention and what a server must provision), not the

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dhb_core::{Dhb, DhbScheduler, ScheduledProtocol};
+use dhb_core::Dhb;
 use vod_protocols::npb::{npb_mapping_for, npb_streams_for};
 use vod_protocols::{FixedBroadcast, StreamTapping, TappingPolicy, UniversalDistribution};
 use vod_sim::{ContinuousRun, FaultPlan, FaultSummary, PoissonProcess, Runner, SlottedRun};
@@ -295,25 +295,10 @@ impl Server {
                     0.0,
                 )
             }
-            AssignedProtocol::Dhb if self.fault_plan.is_zero() => {
-                // Fault-free DHB runs through the protocol-generic
-                // [`SlotScheduler`] adapter — the same scheduling path the
-                // live service's shards use — and produces transmissions
-                // byte-identical to the full [`Dhb`] protocol.
-                let mut dhb = ScheduledProtocol::new(DhbScheduler::fixed_rate(n));
-                let report = slotted_run().run(&mut dhb, PoissonProcess::new(entry.rate));
-                (
-                    "DHB".to_owned(),
-                    report.avg_bandwidth,
-                    report.max_bandwidth,
-                    report.faults,
-                    report.stall_secs,
-                )
-            }
             AssignedProtocol::Dhb => {
-                // Under faults the full protocol is required: its
-                // slot-outcome hook drives the recovery and stall
-                // accounting the trait adapter does not model.
+                // The slot-outcome hook drives recovery and stall
+                // accounting under faults; fault-free, nothing drops and
+                // it does nothing.
                 let mut dhb = Dhb::fixed_rate(n);
                 let report = slotted_run().run(&mut dhb, PoissonProcess::new(entry.rate));
                 (

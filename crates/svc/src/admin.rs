@@ -9,16 +9,14 @@
 //! own version number, [`ADMIN_PROTOCOL_VERSION`].
 //!
 //! Conversation shape: the client opens with [`AdminFrame::Hello`] and the
-//! server answers [`AdminFrame::HelloOk`] (carrying the shard count and the
-//! metric-window length); after that the client may interleave:
+//! server answers [`AdminFrame::HelloOk`] (carrying the shard count); after
+//! that the client may interleave:
 //!
 //! - `Snapshot` → `SnapshotReply` with the full telemetry registry as
-//!   deterministic pretty JSON — cumulative counters, merged windowed
-//!   metrics, per-shard per-stage span histograms, gauges, and the
-//!   monotonic snapshot stamp.
-//! - `Watch { windows }` → one `WindowDelta` per *completed* metric window
-//!   (compact one-line JSON of just that window's registry), then
-//!   `WatchDone`. A draining server cuts the stream short with `WatchDone`.
+//!   deterministic pretty JSON — cumulative counters, per-shard per-stage
+//!   span histograms, gauges, and the monotonic snapshot stamp. Rates are
+//!   the scraper's job: difference two snapshots' counters over their
+//!   `svc.snapshot.mono_ns` stamps.
 //! - `Spans { max }` → `SpansReply` with the most recent raw span records
 //!   as JSONL.
 //!
@@ -27,25 +25,24 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 use vod_obs::HistogramSummary;
 
 use crate::wire::{Cursor, WireError, MAX_FRAME_LEN};
 
 /// Version of the admin telemetry protocol (independent of the serving
-/// protocol's version).
-pub const ADMIN_PROTOCOL_VERSION: u32 = 1;
+/// protocol's version). Version 2 dropped the windowed stream and the
+/// window length from the handshake.
+pub const ADMIN_PROTOCOL_VERSION: u32 = 2;
 
+// Tags 3, 18 and 20 belonged to the version-1 windowed stream; they stay
+// unassigned so a stale peer gets `BadTag`, not a misread frame.
 const TAG_HELLO: u8 = 1;
 const TAG_SNAPSHOT: u8 = 2;
-const TAG_WATCH: u8 = 3;
 const TAG_SPANS: u8 = 4;
 const TAG_HELLO_OK: u8 = 16;
 const TAG_SNAPSHOT_REPLY: u8 = 17;
-const TAG_WINDOW_DELTA: u8 = 18;
 const TAG_SPANS_REPLY: u8 = 19;
-const TAG_WATCH_DONE: u8 = 20;
 const TAG_ERROR: u8 = 21;
 
 /// One admin-plane frame.
@@ -58,11 +55,6 @@ pub enum AdminFrame {
     },
     /// Request one full telemetry snapshot.
     Snapshot,
-    /// Stream per-window deltas for the next `windows` completed windows.
-    Watch {
-        /// How many completed windows to stream before `WatchDone`.
-        windows: u32,
-    },
     /// Request the most recent raw span records.
     Spans {
         /// Maximum records to return.
@@ -75,19 +67,10 @@ pub enum AdminFrame {
         /// Scheduler shard count (how many `svc.span.shardN.*` families to
         /// expect).
         shards: u32,
-        /// Metric-window length in nanoseconds.
-        window_ns: u64,
     },
     /// Full telemetry snapshot as deterministic pretty JSON.
     SnapshotReply {
         /// The registry snapshot.
-        json: String,
-    },
-    /// One completed metric window.
-    WindowDelta {
-        /// The window's id (monotonic since service start).
-        window_id: u64,
-        /// The window's registry as compact one-line JSON.
         json: String,
     },
     /// Recent span records, one JSON object per line.
@@ -95,8 +78,6 @@ pub enum AdminFrame {
         /// The JSONL payload (possibly empty).
         jsonl: String,
     },
-    /// End of a `Watch` stream.
-    WatchDone,
     /// The server refused a request.
     Error {
         /// Human-readable reason.
@@ -115,38 +96,23 @@ impl AdminFrame {
                 out.extend_from_slice(&version.to_le_bytes());
             }
             AdminFrame::Snapshot => out.push(TAG_SNAPSHOT),
-            AdminFrame::Watch { windows } => {
-                out.push(TAG_WATCH);
-                out.extend_from_slice(&windows.to_le_bytes());
-            }
             AdminFrame::Spans { max } => {
                 out.push(TAG_SPANS);
                 out.extend_from_slice(&max.to_le_bytes());
             }
-            AdminFrame::HelloOk {
-                version,
-                shards,
-                window_ns,
-            } => {
+            AdminFrame::HelloOk { version, shards } => {
                 out.push(TAG_HELLO_OK);
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(&shards.to_le_bytes());
-                out.extend_from_slice(&window_ns.to_le_bytes());
             }
             AdminFrame::SnapshotReply { json } => {
                 out.push(TAG_SNAPSHOT_REPLY);
-                push_string(&mut out, json);
-            }
-            AdminFrame::WindowDelta { window_id, json } => {
-                out.push(TAG_WINDOW_DELTA);
-                out.extend_from_slice(&window_id.to_le_bytes());
                 push_string(&mut out, json);
             }
             AdminFrame::SpansReply { jsonl } => {
                 out.push(TAG_SPANS_REPLY);
                 push_string(&mut out, jsonl);
             }
-            AdminFrame::WatchDone => out.push(TAG_WATCH_DONE),
             AdminFrame::Error { message } => {
                 out.push(TAG_ERROR);
                 push_string(&mut out, message);
@@ -181,24 +147,17 @@ impl AdminFrame {
                 version: admin_version(&mut r)?,
             },
             TAG_SNAPSHOT => AdminFrame::Snapshot,
-            TAG_WATCH => AdminFrame::Watch { windows: r.u32()? },
             TAG_SPANS => AdminFrame::Spans { max: r.u32()? },
             TAG_HELLO_OK => AdminFrame::HelloOk {
                 version: admin_version(&mut r)?,
                 shards: r.u32()?,
-                window_ns: r.u64()?,
             },
             TAG_SNAPSHOT_REPLY => AdminFrame::SnapshotReply {
                 json: take_string(&mut r, "snapshot json")?,
             },
-            TAG_WINDOW_DELTA => AdminFrame::WindowDelta {
-                window_id: r.u64()?,
-                json: take_string(&mut r, "window json")?,
-            },
             TAG_SPANS_REPLY => AdminFrame::SpansReply {
                 jsonl: take_string(&mut r, "spans jsonl")?,
             },
-            TAG_WATCH_DONE => AdminFrame::WatchDone,
             TAG_ERROR => AdminFrame::Error {
                 message: take_string(&mut r, "error message")?,
             },
@@ -266,7 +225,6 @@ pub fn write_admin_frame(writer: &mut impl Write, frame: &AdminFrame) -> io::Res
 pub struct AdminClient {
     stream: TcpStream,
     shards: u32,
-    window_ns: u64,
 }
 
 impl AdminClient {
@@ -286,13 +244,7 @@ impl AdminClient {
             },
         )?;
         match read_admin_frame(&mut stream)? {
-            Some(AdminFrame::HelloOk {
-                shards, window_ns, ..
-            }) => Ok(AdminClient {
-                stream,
-                shards,
-                window_ns,
-            }),
+            Some(AdminFrame::HelloOk { shards, .. }) => Ok(AdminClient { stream, shards }),
             Some(AdminFrame::Error { .. }) | Some(_) => {
                 Err(WireError::Malformed("handshake did not answer HelloOk"))
             }
@@ -304,12 +256,6 @@ impl AdminClient {
     #[must_use]
     pub fn shards(&self) -> u32 {
         self.shards
-    }
-
-    /// Metric-window length announced at handshake.
-    #[must_use]
-    pub fn window(&self) -> Duration {
-        Duration::from_nanos(self.window_ns)
     }
 
     /// Fetches one full telemetry snapshot (pretty JSON).
@@ -339,33 +285,6 @@ impl AdminClient {
             None => Err(WireError::Truncated),
         }
     }
-
-    /// Streams up to `windows` completed metric windows, invoking `sink`
-    /// with each `(window_id, compact_json)` pair. Returns the number of
-    /// windows received (a draining server may cut the stream short).
-    ///
-    /// # Errors
-    ///
-    /// Codec/transport failures, or an out-of-protocol reply.
-    pub fn watch(
-        &mut self,
-        windows: u32,
-        mut sink: impl FnMut(u64, &str),
-    ) -> Result<u32, WireError> {
-        write_admin_frame(&mut self.stream, &AdminFrame::Watch { windows })?;
-        let mut received = 0;
-        loop {
-            match read_admin_frame(&mut self.stream)? {
-                Some(AdminFrame::WindowDelta { window_id, json }) => {
-                    sink(window_id, &json);
-                    received += 1;
-                }
-                Some(AdminFrame::WatchDone) => return Ok(received),
-                Some(_) => return Err(WireError::Malformed("expected WindowDelta/WatchDone")),
-                None => return Err(WireError::Truncated),
-            }
-        }
-    }
 }
 
 /// One-shot convenience: connect, snapshot, disconnect.
@@ -387,8 +306,8 @@ pub fn scrape_spans(addr: &str, max: u32) -> Result<String, WireError> {
 }
 
 /// Finds the named histogram's summary in a registry snapshot produced by
-/// `Registry::to_json_pretty` / `to_json_compact`. A targeted scan over the
-/// deterministic snapshot layout — not a general JSON parser.
+/// `Registry::to_json_pretty`, as is or folded onto one line. A targeted
+/// scan over the deterministic snapshot layout — not a general JSON parser.
 #[must_use]
 pub fn find_histogram(json: &str, name: &str) -> Option<HistogramSummary> {
     let obj = find_value(json, name)?;
@@ -472,24 +391,17 @@ mod tests {
                 version: ADMIN_PROTOCOL_VERSION,
             },
             AdminFrame::Snapshot,
-            AdminFrame::Watch { windows: 5 },
             AdminFrame::Spans { max: 128 },
             AdminFrame::HelloOk {
                 version: ADMIN_PROTOCOL_VERSION,
                 shards: 4,
-                window_ns: 1_000_000_000,
             },
             AdminFrame::SnapshotReply {
                 json: "{\"counters\":{}}".to_owned(),
             },
-            AdminFrame::WindowDelta {
-                window_id: 9,
-                json: "{}".to_owned(),
-            },
             AdminFrame::SpansReply {
                 jsonl: "{\"span\": 1}\n".to_owned(),
             },
-            AdminFrame::WatchDone,
             AdminFrame::Error {
                 message: "nope".to_owned(),
             },
@@ -500,7 +412,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        for wrong in [0u32, 2, 7, u32::MAX] {
+        for wrong in [0u32, 1, 7, u32::MAX] {
             let mut payload = vec![TAG_HELLO];
             payload.extend_from_slice(&wrong.to_le_bytes());
             match AdminFrame::decode_payload(&payload) {
@@ -522,11 +434,13 @@ mod tests {
                 "prefix of {cut} bytes must not decode"
             );
         }
-        assert!(matches!(
-            AdminFrame::decode_payload(&[99]),
-            Err(WireError::BadTag(99))
-        ));
-        let mut trailing = AdminFrame::WatchDone.encode_payload();
+        for retired in [99, 3, 18, 20] {
+            assert!(matches!(
+                AdminFrame::decode_payload(&[retired]),
+                Err(WireError::BadTag(t)) if t == retired
+            ));
+        }
+        let mut trailing = AdminFrame::Snapshot.encode_payload();
         trailing.push(0);
         assert!(matches!(
             AdminFrame::decode_payload(&trailing),
@@ -556,13 +470,17 @@ mod tests {
     fn json_scan_helpers_read_both_snapshot_forms() {
         let mut r = Registry::new();
         r.inc("svc.grants", 42);
-        r.set_gauge("svc.rate.grants_per_sec", 8.5);
+        r.set_gauge("svc.gauge.sessions_live", 8.5);
         for v in [100u64, 200, 400] {
             r.observe("svc.span.shard0.total_ns", v);
         }
-        for json in [r.to_json_pretty(), r.to_json_compact()] {
+        let pretty = r.to_json_pretty();
+        // The one-line form `vodtop --snapshot-out` and `vodload
+        // --telemetry-out` write.
+        let one_line: String = pretty.lines().map(str::trim).collect();
+        for json in [pretty, one_line] {
             assert_eq!(find_counter(&json, "svc.grants"), Some(42));
-            assert_eq!(find_gauge(&json, "svc.rate.grants_per_sec"), Some(8.5));
+            assert_eq!(find_gauge(&json, "svc.gauge.sessions_live"), Some(8.5));
             let h = find_histogram(&json, "svc.span.shard0.total_ns").expect("histogram");
             assert_eq!(h.count, 3);
             assert_eq!(h.min, 100);

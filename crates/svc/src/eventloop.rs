@@ -859,7 +859,6 @@ impl EventLoop {
                 arrival_slot,
             } => {
                 stats.requests.fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.on_request();
                 // Dedupe re-sends after a reconnect: an already-answered
                 // seq is re-served from the replay ring, an in-flight one
                 // is left to its original answer.
@@ -893,7 +892,6 @@ impl EventLoop {
                             seq,
                             video,
                             arrival_slot,
-                            enqueued: Instant::now(),
                             reply,
                             span: Some(SpanStart {
                                 id: shared.telemetry.next_span_id(),
@@ -932,7 +930,6 @@ impl EventLoop {
                     };
                     if let Some(reason) = reject {
                         stats.count_rejection(reason);
-                        shared.telemetry.on_reject();
                         let conn_id = conn.id;
                         shared.journal.emit_with(|| Event::RequestRejected {
                             conn: conn_id,

@@ -30,10 +30,11 @@
 //!
 //! Telemetry: every admitted request carries a lifecycle span (decode →
 //! admission wait → schedule → writer wait → flush) aggregated into
-//! per-shard per-stage histograms; counters roll through a wheel of
-//! 1-second windows for rate and sliding-percentile views; and a separate
-//! [`admin`] listener serves `SNAPSHOT` / `WATCH` / `SPANS` scrapes so
-//! watching a live server never competes with client admission.
+//! per-shard per-stage histograms; counts are cumulative atomics stamped
+//! with a monotonic snapshot time, so scrapers derive rates by differencing
+//! two snapshots; and a separate [`admin`] listener serves `SNAPSHOT` /
+//! `SPANS` scrapes so watching a live server never competes with client
+//! admission.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -53,7 +53,7 @@ use crate::eventloop::LoopPool;
 use crate::session::{lock_unpoisoned, SessionRegistry};
 use crate::shard::{spawn_shard, RestartPolicy, ShardConfig, ShardMsg, ShardVideo};
 use crate::stats::ServiceStats;
-use crate::telemetry::{dur_ns, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::wire::FrameBuffer;
 
 /// Service configuration. `Default` gives a small two-shard uniform catalog
@@ -106,8 +106,6 @@ pub struct SvcConfig {
     /// 0 for an ephemeral port; [`Service::admin_addr`] reports what was
     /// bound.
     pub admin_addr: Option<String>,
-    /// Length of one rotating telemetry window (16 are retained).
-    pub telemetry_window: Duration,
     /// How many recent raw span records the admin `SPANS` query can return.
     pub span_recent_cap: usize,
     /// Default data-plane payload rate in bytes per media-second, for
@@ -140,7 +138,6 @@ impl Default for SvcConfig {
             shard_journal_cap: 65_536,
             chaos: ChaosPlan::none(),
             admin_addr: None,
-            telemetry_window: Duration::from_secs(1),
             span_recent_cap: 1024,
             data_rate_bps: 1024,
             ring_cap: 64,
@@ -200,8 +197,8 @@ pub(crate) struct Shared {
     /// store), shared by event loops (subscribe) and shards (publish).
     pub(crate) data: Arc<DataPlane>,
     /// Fired once at shutdown; admin connection pollers watch it so idle
-    /// scrapers and mid-`Watch` streams wake immediately instead of
-    /// sleeping through a fixed poll interval.
+    /// scrapers wake immediately instead of sleeping through a fixed poll
+    /// interval.
     pub(crate) drain_signal: Arc<Signal>,
     pub(crate) admins: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -234,11 +231,10 @@ impl Service {
         let addr = listener.local_addr()?;
         let shards = config.shards.max(1);
         let dilation = config.dilation.max(1);
-        let stats = Arc::new(ServiceStats::new(shards));
+        let stats = Arc::new(ServiceStats::default());
         let chaos = Arc::new(config.chaos.clone());
         let telemetry = Arc::new(Telemetry::new(
             shards,
-            config.telemetry_window,
             config.span_recent_cap,
             config.max_restarts,
         ));
@@ -618,8 +614,8 @@ impl AdminIo {
                     self.set_interest(Interest::WRITABLE)?;
                     self.poller.wait(&mut self.events, None)?;
                     // Woken by the drain signal with the socket still not
-                    // writable? Keep trying: the final frame (`WatchDone`)
-                    // must still go out; a dead peer errors the write.
+                    // writable? Keep trying: the reply must still go out; a
+                    // dead peer errors the write.
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -630,7 +626,7 @@ impl AdminIo {
 }
 
 /// One admin scrape connection: `Hello` handshake first, then any number of
-/// `Snapshot` / `Watch` / `Spans` requests. Every codec error drops the
+/// `Snapshot` / `Spans` requests. Every codec error drops the
 /// connection; requests sent while draining are cut short so shutdown never
 /// waits on a scraper.
 fn run_admin_conn(stream: TcpStream, shared: &Arc<Shared>) {
@@ -643,7 +639,6 @@ fn run_admin_conn(stream: TcpStream, shared: &Arc<Shared>) {
             let hello_ok = AdminFrame::HelloOk {
                 version: ADMIN_PROTOCOL_VERSION,
                 shards: shared.shards as u32,
-                window_ns: dur_ns(telemetry.window_len()),
             };
             if io.write_reply(&hello_ok).is_err() {
                 return;
@@ -667,12 +662,6 @@ fn run_admin_conn(stream: TcpStream, shared: &Arc<Shared>) {
             Some(AdminFrame::Spans { max }) => AdminFrame::SpansReply {
                 jsonl: telemetry.spans_jsonl(max as usize),
             },
-            Some(AdminFrame::Watch { windows }) => {
-                if !stream_windows(&mut io, shared, windows) {
-                    return;
-                }
-                continue;
-            }
             Some(_) => {
                 let _ = io.write_reply(&AdminFrame::Error {
                     message: "not a request frame".to_owned(),
@@ -685,44 +674,4 @@ fn run_admin_conn(stream: TcpStream, shared: &Arc<Shared>) {
             return;
         }
     }
-}
-
-/// Sends one `WindowDelta` per completed metric window until `windows`
-/// have been streamed or the service starts draining, then `WatchDone`.
-/// Returns false when the connection died mid-stream.
-fn stream_windows(io: &mut AdminIo, shared: &Arc<Shared>, windows: u32) -> bool {
-    let telemetry = &shared.telemetry;
-    // Start from the window in progress: the client asked for windows
-    // completed *after* the request, never a stale backlog.
-    let mut next = telemetry.window_id();
-    // Window completion is a function of time, so the wait is timed — but
-    // the drain signal cuts it short, so shutdown never waits a full poll
-    // interval on a mid-`Watch` scraper.
-    let poll = (telemetry.window_len() / 8)
-        .min(Duration::from_millis(25))
-        .max(Duration::from_millis(1));
-    let mut sent = 0u32;
-    while sent < windows && !shared.draining.load(Ordering::SeqCst) {
-        if telemetry.window_id() <= next {
-            if io.set_interest(Interest::NONE).is_err()
-                || io.poller.wait(&mut io.events, Some(poll)).is_err()
-            {
-                return false;
-            }
-            continue;
-        }
-        let json = telemetry
-            .window_registry(next)
-            .map_or_else(|| "{}".to_owned(), |r| r.to_json_compact());
-        let delta = AdminFrame::WindowDelta {
-            window_id: next,
-            json,
-        };
-        if io.write_reply(&delta).is_err() {
-            return false;
-        }
-        next += 1;
-        sent += 1;
-    }
-    io.write_reply(&AdminFrame::WatchDone).is_ok()
 }

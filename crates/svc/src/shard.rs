@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dhb_core::SlotScheduler;
 use vod_obs::{Event, Journal, RejectKind};
@@ -112,8 +112,6 @@ pub(crate) enum ShardMsg {
         video: u32,
         /// Explicit arrival slot or [`ARRIVAL_AUTO`].
         arrival_slot: u64,
-        /// When the reader enqueued it (queue+schedule latency origin).
-        enqueued: Instant,
         /// The owning connection's reply route.
         reply: ReplyTo,
         /// The request's lifecycle span, minted by the reader at decode.
@@ -223,7 +221,6 @@ fn run_shard(mut config: ShardConfig, rx: &Receiver<ShardMsg>) {
             seq,
             video,
             arrival_slot,
-            enqueued,
             reply,
             span,
         } = msg;
@@ -250,7 +247,6 @@ fn run_shard(mut config: ShardConfig, rx: &Receiver<ShardMsg>) {
                     seq,
                     video,
                     arrival_slot,
-                    &enqueued,
                     &reply,
                     &mut pending,
                 );
@@ -299,7 +295,6 @@ fn run_shard(mut config: ShardConfig, rx: &Receiver<ShardMsg>) {
 /// Answers a request the shard cannot serve with `Rejected(shard_down)`.
 fn shed(config: &ShardConfig, conn: u64, seq: u64, reply: &ReplyTo) {
     config.stats.count_rejection(RejectKind::ShardDown);
-    config.telemetry.on_reject();
     config.journal.emit_with(|| Event::RequestRejected {
         conn,
         request: seq,
@@ -323,7 +318,6 @@ fn handle_request(
     seq: u64,
     video: u32,
     arrival_slot: u64,
-    enqueued: &Instant,
     reply: &ReplyTo,
     pending: &mut Option<PendingSpan>,
 ) {
@@ -333,7 +327,6 @@ fn handle_request(
         // reachable if routing drifts; degrade to a typed rejection
         // rather than aborting the shard.
         stats.count_rejection(RejectKind::UnknownVideo);
-        config.telemetry.on_reject();
         reply.deliver(
             seq,
             Frame::Rejected {
@@ -420,10 +413,7 @@ fn handle_request(
             shared: !s.newly_scheduled,
         })
         .collect();
-    let latency_ns = elapsed_ns(enqueued);
-    stats.record_latency(config.id, latency_ns);
     stats.grants.fetch_add(1, Ordering::Relaxed);
-    config.telemetry.on_grant(latency_ns);
     // `take()` so a chaos panic on a retry cannot record the span twice;
     // the schedule stage closes as the answer enters the writer queue.
     reply.deliver(
@@ -505,8 +495,4 @@ fn audit_timeliness(
             .audit_deadline_misses
             .fetch_add(misses, Ordering::Relaxed);
     }
-}
-
-fn elapsed_ns(since: &Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

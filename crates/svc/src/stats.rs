@@ -1,19 +1,17 @@
-//! Lock-light service counters and latency capture.
+//! Lock-free cumulative service counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
-use vod_obs::{LogHistogram, Registry, RejectKind};
+use vod_obs::{Registry, RejectKind};
 
 /// Shared counters for one [`Service`](crate::Service) instance.
 ///
-/// Counters are relaxed atomics (hot paths never lock); grant latency goes
-/// into one `Mutex<LogHistogram>` **per shard**, so each lock is touched
-/// only by its own shard thread plus the occasional `STATS` reader —
-/// effectively uncontended. Latency locks recover from poisoning
-/// (histograms stay internally consistent under partial updates), so a
-/// panicking peer can never take the stats plane down with it.
-#[derive(Debug)]
+/// Every counter is a cumulative relaxed atomic, so hot paths never lock.
+/// This is the only record of the service's counts: a scraper derives
+/// rates by differencing two snapshots over their `svc.snapshot.mono_ns`
+/// stamps, and latency lives in the span histograms
+/// (`svc.span.shard{N}.*`).
+#[derive(Debug, Default)]
 pub struct ServiceStats {
     /// Connections accepted.
     pub conns: AtomicU64,
@@ -79,56 +77,9 @@ pub struct ServiceStats {
     /// Sequence numbers a re-subscribing session skipped past because its
     /// channel ring had moved on while it was away (reported, not silent).
     pub ring_resume_gaps: AtomicU64,
-    latency: Vec<Mutex<LogHistogram>>,
 }
 
 impl ServiceStats {
-    /// Fresh zeroed stats for `shards` scheduler shards.
-    #[must_use]
-    pub fn new(shards: usize) -> ServiceStats {
-        ServiceStats {
-            conns: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            grants: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-            rejected_unknown_video: AtomicU64::new(0),
-            rejected_invalid_video: AtomicU64::new(0),
-            rejected_shard_down: AtomicU64::new(0),
-            rejected_unknown_session: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            instances_aired: AtomicU64::new(0),
-            audit_segments_checked: AtomicU64::new(0),
-            audit_deadline_misses: AtomicU64::new(0),
-            shard_panics: AtomicU64::new(0),
-            shard_restarts: AtomicU64::new(0),
-            shards_down: AtomicU64::new(0),
-            shard_journal_truncated: AtomicU64::new(0),
-            sessions_resumed: AtomicU64::new(0),
-            grants_replayed: AtomicU64::new(0),
-            requests_deduped: AtomicU64::new(0),
-            chaos_conn_resets: AtomicU64::new(0),
-            chaos_writer_stalls: AtomicU64::new(0),
-            ring_published: AtomicU64::new(0),
-            ring_fanout: AtomicU64::new(0),
-            ring_evictions: AtomicU64::new(0),
-            ring_gaps: AtomicU64::new(0),
-            bytes_delivered: AtomicU64::new(0),
-            ring_resume_gaps: AtomicU64::new(0),
-            latency: (0..shards.max(1))
-                .map(|_| Mutex::new(LogHistogram::new()))
-                .collect(),
-        }
-    }
-
-    /// Records one queue-to-grant latency sample from `shard`.
-    pub fn record_latency(&self, shard: usize, ns: u64) {
-        self.latency[shard % self.latency.len()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(ns);
-    }
-
     /// Bumps the rejection counter matching `reason`.
     pub fn count_rejection(&self, reason: RejectKind) {
         let counter = match reason {
@@ -151,16 +102,6 @@ impl ServiceStats {
             + self.rejected_invalid_video.load(Ordering::Relaxed)
             + self.rejected_shard_down.load(Ordering::Relaxed)
             + self.rejected_unknown_session.load(Ordering::Relaxed)
-    }
-
-    /// The grant-latency histogram merged across shards.
-    #[must_use]
-    pub fn latency_histogram(&self) -> LogHistogram {
-        let mut merged = LogHistogram::new();
-        for shard in &self.latency {
-            merged.merge(&shard.lock().unwrap_or_else(PoisonError::into_inner));
-        }
-        merged
     }
 
     /// A point-in-time metrics registry (what the `STATS` frame returns).
@@ -205,10 +146,6 @@ impl ServiceStats {
         *r.ensure_counter("svc.ring.gaps") = self.ring_gaps.load(Ordering::Relaxed);
         *r.ensure_counter("svc.bytes_delivered") = self.bytes_delivered.load(Ordering::Relaxed);
         *r.ensure_counter("svc.ring.resume_gaps") = self.ring_resume_gaps.load(Ordering::Relaxed);
-        let latency = self.latency_histogram();
-        if latency.count() > 0 {
-            r.merge_histogram("svc.grant_latency_ns", &latency);
-        }
         r
     }
 }
@@ -218,26 +155,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_carries_counters_and_latency() {
-        let stats = ServiceStats::new(2);
+    fn resilience_counters_round_trip_through_snapshots() {
+        let stats = ServiceStats::default();
         stats.requests.fetch_add(3, Ordering::Relaxed);
         stats.grants.fetch_add(2, Ordering::Relaxed);
         stats.count_rejection(RejectKind::QueueFull);
-        stats.record_latency(0, 1_000);
-        stats.record_latency(1, 2_000);
-        let r = stats.snapshot();
-        assert_eq!(r.counter("svc.requests"), 3);
-        assert_eq!(r.counter("svc.grants"), 2);
-        assert_eq!(r.counter("svc.rejected.queue_full"), 1);
-        assert_eq!(stats.rejected_total(), 1);
-        assert_eq!(stats.latency_histogram().count(), 2);
-        let json = r.to_json_pretty();
-        assert!(json.contains("svc.grant_latency_ns"), "{json}");
-    }
-
-    #[test]
-    fn resilience_counters_round_trip_through_snapshots() {
-        let stats = ServiceStats::new(1);
         stats.count_rejection(RejectKind::ShardDown);
         stats.count_rejection(RejectKind::UnknownSession);
         stats.shard_panics.fetch_add(2, Ordering::Relaxed);
@@ -245,18 +167,21 @@ mod tests {
         stats.sessions_resumed.fetch_add(1, Ordering::Relaxed);
         stats.grants_replayed.fetch_add(5, Ordering::Relaxed);
         let r = stats.snapshot();
+        assert_eq!(r.counter("svc.requests"), 3);
+        assert_eq!(r.counter("svc.grants"), 2);
+        assert_eq!(r.counter("svc.rejected.queue_full"), 1);
         assert_eq!(r.counter("svc.rejected.shard_down"), 1);
         assert_eq!(r.counter("svc.rejected.unknown_session"), 1);
         assert_eq!(r.counter("svc.shard.panics"), 2);
         assert_eq!(r.counter("svc.shard.restarts"), 1);
         assert_eq!(r.counter("svc.sessions.resumed"), 1);
         assert_eq!(r.counter("svc.sessions.replayed_grants"), 5);
-        assert_eq!(stats.rejected_total(), 2);
+        assert_eq!(stats.rejected_total(), 3);
     }
 
     #[test]
     fn ring_counters_round_trip_through_snapshots() {
-        let stats = ServiceStats::new(1);
+        let stats = ServiceStats::default();
         stats.ring_published.fetch_add(3, Ordering::Relaxed);
         stats.ring_fanout.fetch_add(96, Ordering::Relaxed);
         stats.ring_evictions.fetch_add(2, Ordering::Relaxed);
@@ -270,19 +195,5 @@ mod tests {
         assert_eq!(r.counter("svc.ring.gaps"), 1);
         assert_eq!(r.counter("svc.bytes_delivered"), 4096);
         assert_eq!(r.counter("svc.ring.resume_gaps"), 17);
-    }
-
-    #[test]
-    fn latency_locks_recover_from_poisoning() {
-        let stats = std::sync::Arc::new(ServiceStats::new(1));
-        let poisoner = std::sync::Arc::clone(&stats);
-        // Poison the latency lock by panicking while holding it.
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.latency[0].lock();
-            panic!("poison");
-        })
-        .join();
-        stats.record_latency(0, 500);
-        assert_eq!(stats.latency_histogram().count(), 1);
     }
 }

@@ -1,7 +1,7 @@
-//! The live telemetry plane: request spans, windowed metrics, and gauges.
+//! The live telemetry plane: request spans and gauges.
 //!
 //! [`Telemetry`] is the service-wide aggregation point the admin scrape
-//! plane reads from. It owns three things:
+//! plane reads from. It owns two things:
 //!
 //! - a [`SpanSink`] of request-lifecycle spans. Every admitted request gets
 //!   a span id on its event loop; monotonic timestamps are taken at each
@@ -15,23 +15,22 @@
 //!   Stages measure *disjoint* intervals of the request's lifetime, so
 //!   per-record `sum(stages) ≤ total` holds by construction and the
 //!   uncovered gap is thread-handoff time the loopback tests bound.
-//! - a [`WindowWheel`] of rotating 1-second (configurable) windows holding
-//!   `svc.win.*` counters and histograms — the rate/sliding-percentile
-//!   view the cumulative [`ServiceStats`] counters cannot answer.
 //! - per-shard gauge sources (admission-queue depth, scheduling lag behind
-//!   the virtual slot clock, restart budget) fed by relaxed atomics from
-//!   the hot paths.
+//!   the virtual slot clock, restart budget) and per-shard data-plane
+//!   counters, fed by relaxed atomics from the hot paths.
 //!
-//! [`Telemetry::snapshot_full`] folds all of the above plus the cumulative
-//! stats and session-ring occupancy into one registry, stamped with
-//! `svc.snapshot.mono_ns` and `svc.snapshot.window_id` so snapshots are
-//! orderable across reconnects (the `STATS` staleness fix).
+//! Counts are recorded once, as the cumulative [`ServiceStats`] counters.
+//! [`Telemetry::snapshot_full`] folds them, the span histograms, the gauges
+//! and session-ring occupancy into one registry stamped with
+//! `svc.snapshot.mono_ns`, so a scraper computes any rate as the
+//! difference of two snapshots' counters over the difference of their
+//! stamps, and snapshots stay orderable across reconnects.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vod_obs::{Registry, SpanSink, WindowWheel};
+use vod_obs::{Registry, SpanSink};
 
 use crate::data::PublishOutcome;
 use crate::session::{lock_unpoisoned, SessionRegistry};
@@ -49,18 +48,13 @@ pub const SPAN_STAGES: &[&str] = &[
     "flush",
 ];
 
-/// How many rotating metric windows the wheel retains.
-pub(crate) const WINDOW_COUNT: usize = 16;
-
 /// Index of the `decode` stage in [`SPAN_STAGES`].
 const STAGE_COUNT: usize = 5;
 
 /// The service-wide telemetry aggregation point.
 pub(crate) struct Telemetry {
     origin: Instant,
-    window_len: Duration,
     next_span: AtomicU64,
-    wheel: Mutex<WindowWheel>,
     spans: Mutex<SpanSink>,
     /// Requests sitting in each shard's admission queue right now.
     queue_depth: Vec<AtomicU64>,
@@ -85,18 +79,11 @@ struct ShardRing {
 }
 
 impl Telemetry {
-    pub(crate) fn new(
-        shards: usize,
-        window_len: Duration,
-        span_recent_cap: usize,
-        max_restarts: u32,
-    ) -> Telemetry {
+    pub(crate) fn new(shards: usize, span_recent_cap: usize, max_restarts: u32) -> Telemetry {
         let shards = shards.max(1);
         Telemetry {
             origin: Instant::now(),
-            window_len: window_len.max(Duration::from_millis(1)),
             next_span: AtomicU64::new(0),
-            wheel: Mutex::new(WindowWheel::new(WINDOW_COUNT)),
             spans: Mutex::new(SpanSink::new(SPAN_STAGES, span_recent_cap)),
             queue_depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             clock_lag_slots: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -111,36 +98,9 @@ impl Telemetry {
         u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// The metric window the current instant falls into.
-    pub(crate) fn window_id(&self) -> u64 {
-        (self.origin.elapsed().as_nanos() / self.window_len.as_nanos()) as u64
-    }
-
-    /// The configured window length.
-    pub(crate) fn window_len(&self) -> Duration {
-        self.window_len
-    }
-
     /// Allocates the next span id.
     pub(crate) fn next_span_id(&self) -> u64 {
         self.next_span.fetch_add(1, Ordering::Relaxed)
-    }
-
-    pub(crate) fn on_request(&self) {
-        let id = self.window_id();
-        lock_unpoisoned(&self.wheel).inc(id, "svc.win.requests", 1);
-    }
-
-    pub(crate) fn on_reject(&self) {
-        let id = self.window_id();
-        lock_unpoisoned(&self.wheel).inc(id, "svc.win.rejected", 1);
-    }
-
-    pub(crate) fn on_grant(&self, latency_ns: u64) {
-        let id = self.window_id();
-        let mut wheel = lock_unpoisoned(&self.wheel);
-        wheel.inc(id, "svc.win.grants", 1);
-        wheel.observe(id, "svc.win.grant_latency_ns", latency_ns);
     }
 
     pub(crate) fn queue_enter(&self, shard: usize) {
@@ -159,13 +119,8 @@ impl Telemetry {
             .store(lag_slots, Ordering::Relaxed);
     }
 
-    /// Accounts one shard's publish outcome: windowed delivered bytes (the
-    /// `svc.rate.bytes_per_sec` source) plus the per-shard ring counters.
+    /// Accounts one shard's publish outcome in its per-shard ring counters.
     pub(crate) fn on_ring(&self, shard: usize, out: &PublishOutcome) {
-        if out.bytes > 0 {
-            let id = self.window_id();
-            lock_unpoisoned(&self.wheel).inc(id, "svc.win.bytes", out.bytes);
-        }
         let ring = &self.ring[shard % self.ring.len()];
         ring.published.fetch_add(out.published, Ordering::Relaxed);
         ring.fanout.fetch_add(out.fanout, Ordering::Relaxed);
@@ -188,46 +143,14 @@ impl Telemetry {
         lock_unpoisoned(&self.spans).render_recent_jsonl(max)
     }
 
-    /// A clone of one live window's registry, if it has not rotated out.
-    /// Advances the wheel first so quiet windows exist (and read as zero).
-    pub(crate) fn window_registry(&self, id: u64) -> Option<Registry> {
-        let mut wheel = lock_unpoisoned(&self.wheel);
-        wheel.advance_to(self.window_id());
-        wheel.window(id).cloned()
-    }
-
-    /// The full telemetry snapshot: cumulative service counters, merged
-    /// windowed metrics, last-window rates, span histograms, gauges, and
-    /// the monotonic snapshot stamp.
+    /// The full telemetry snapshot: cumulative service counters, span
+    /// histograms, gauges, and the monotonic snapshot stamp.
     pub(crate) fn snapshot_full(
         &self,
         stats: &ServiceStats,
         sessions: &SessionRegistry,
     ) -> Registry {
         let mut r = stats.snapshot();
-        let now_id = self.window_id();
-        {
-            let mut wheel = lock_unpoisoned(&self.wheel);
-            wheel.advance_to(now_id);
-            r.merge(&wheel.merged());
-            // Rates come from the last *completed* window: the current one
-            // is still filling and would read low.
-            if let Some(prev) = now_id.checked_sub(1).and_then(|id| wheel.window(id)) {
-                let secs = self.window_len.as_secs_f64();
-                r.set_gauge(
-                    "svc.rate.requests_per_sec",
-                    prev.counter("svc.win.requests") as f64 / secs,
-                );
-                r.set_gauge(
-                    "svc.rate.grants_per_sec",
-                    prev.counter("svc.win.grants") as f64 / secs,
-                );
-                r.set_gauge(
-                    "svc.rate.bytes_per_sec",
-                    prev.counter("svc.win.bytes") as f64 / secs,
-                );
-            }
-        }
         lock_unpoisoned(&self.spans).export_into(&mut r, "svc.span", "shard");
         for shard in 0..self.queue_depth.len() {
             r.set_gauge(
@@ -256,11 +179,10 @@ impl Telemetry {
         let (live, ring_frames) = sessions.occupancy();
         r.set_gauge("svc.gauge.sessions_live", live as f64);
         r.set_gauge("svc.gauge.replay_ring_frames", ring_frames as f64);
-        // The staleness stamp: strictly increasing across snapshots from
-        // one service instance, so saved artifacts are orderable even
-        // across client reconnects.
+        // The staleness stamp and rate denominator: strictly increasing
+        // across snapshots from one service instance, so saved artifacts
+        // are orderable even across client reconnects.
         *r.ensure_counter("svc.snapshot.mono_ns") = self.mono_ns();
-        *r.ensure_counter("svc.snapshot.window_id") = now_id;
         r
     }
 }
@@ -397,22 +319,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_carries_windows_spans_gauges_and_stamp() {
-        let t = Telemetry::new(2, Duration::from_millis(50), 64, 3);
-        let stats = ServiceStats::new(2);
+    fn snapshot_carries_spans_gauges_and_stamp() {
+        let t = Telemetry::new(2, 64, 3);
+        let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
-        t.on_request();
-        t.on_grant(1_500);
-        t.on_reject();
         t.queue_enter(1);
         t.note_clock_lag(0, 2);
         t.note_restarts(1, 1);
         t.record_span(0, 1, &[10, 20, 30, 40, 50], 200);
         let r = t.snapshot_full(&stats, &sessions);
-        assert_eq!(r.counter("svc.win.requests"), 1);
-        assert_eq!(r.counter("svc.win.grants"), 1);
-        assert_eq!(r.counter("svc.win.rejected"), 1);
-        assert!(r.histogram_summary("svc.win.grant_latency_ns").is_some());
         let total = r.histogram_summary("svc.span.shard1.total_ns").unwrap();
         assert_eq!(total.count, 1);
         assert_eq!(
@@ -429,9 +344,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_outcomes_reach_windows_and_per_shard_counters() {
-        let t = Telemetry::new(2, Duration::from_millis(50), 16, 0);
-        let stats = ServiceStats::new(2);
+    fn ring_outcomes_reach_per_shard_counters() {
+        let t = Telemetry::new(2, 16, 0);
+        let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         t.on_ring(
             1,
@@ -444,7 +359,6 @@ mod tests {
             },
         );
         let r = t.snapshot_full(&stats, &sessions);
-        assert_eq!(r.counter("svc.win.bytes"), 8_192);
         assert_eq!(r.counter("svc.ring.shard1.published"), 2);
         assert_eq!(r.counter("svc.ring.shard1.fanout"), 64);
         assert_eq!(r.counter("svc.ring.shard1.evictions"), 3);
@@ -454,41 +368,23 @@ mod tests {
 
     #[test]
     fn snapshot_stamps_are_monotonic() {
-        let t = Telemetry::new(1, Duration::from_millis(5), 16, 3);
-        let stats = ServiceStats::new(1);
+        let t = Telemetry::new(1, 16, 3);
+        let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         let a = t.snapshot_full(&stats, &sessions);
         std::thread::sleep(Duration::from_millis(12));
         let b = t.snapshot_full(&stats, &sessions);
         assert!(b.counter("svc.snapshot.mono_ns") > a.counter("svc.snapshot.mono_ns"));
-        assert!(b.counter("svc.snapshot.window_id") > a.counter("svc.snapshot.window_id"));
-    }
-
-    #[test]
-    fn windows_rotate_under_load() {
-        let t = Telemetry::new(1, Duration::from_millis(2), 16, 0);
-        let deadline = Instant::now() + Duration::from_millis(40);
-        while Instant::now() < deadline {
-            t.on_request();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // More windows elapsed than the wheel holds; the merged view only
-        // covers the live suffix.
-        let stats = ServiceStats::new(1);
-        let sessions = SessionRegistry::default();
-        let r = t.snapshot_full(&stats, &sessions);
-        assert!(r.counter("svc.win.requests") > 0);
-        assert!(t.window_id() >= WINDOW_COUNT as u64);
     }
 
     #[test]
     fn queue_depth_never_underflows() {
-        let t = Telemetry::new(1, Duration::from_secs(1), 16, 0);
+        let t = Telemetry::new(1, 16, 0);
         t.queue_leave(0);
         t.queue_enter(0);
         t.queue_leave(0);
         t.queue_leave(0);
-        let stats = ServiceStats::new(1);
+        let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         let r = t.snapshot_full(&stats, &sessions);
         assert_eq!(r.gauge("svc.gauge.shard0.queue_depth"), Some(0.0));
@@ -496,7 +392,7 @@ mod tests {
 
     #[test]
     fn span_stages_sum_within_total() {
-        let t = Arc::new(Telemetry::new(1, Duration::from_secs(1), 16, 0));
+        let t = Arc::new(Telemetry::new(1, 16, 0));
         let start = SpanStart {
             id: t.next_span_id(),
             started: Instant::now(),
@@ -506,7 +402,7 @@ mod tests {
         let carrier = pending.into_carrier();
         let wait = dur_ns(carrier.sent_at.elapsed());
         carrier.finish(wait, 10);
-        let stats = ServiceStats::new(1);
+        let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         let r = t.snapshot_full(&stats, &sessions);
         let total = r.histogram_summary("svc.span.shard0.total_ns").unwrap();

@@ -8,27 +8,23 @@ use proptest::prelude::*;
 use vod_svc::admin::read_admin_frame;
 use vod_svc::{AdminFrame, WireError, ADMIN_PROTOCOL_VERSION, MAX_FRAME_LEN};
 
-/// All ten admin frame kinds, driven by primitive inputs (the proptest shim
-/// has no derive support). `Hello` carries [`ADMIN_PROTOCOL_VERSION`]; the
-/// version-mismatch test forges other versions separately.
-fn build_frame(kind: usize, a: u64, b: u64, c: u32, text: &[u8]) -> AdminFrame {
+/// All seven admin frame kinds, driven by primitive inputs (the proptest
+/// shim has no derive support). `Hello` carries [`ADMIN_PROTOCOL_VERSION`];
+/// the version-mismatch test forges other versions separately.
+fn build_frame(kind: usize, c: u32, text: &[u8]) -> AdminFrame {
     let json = String::from_utf8_lossy(text).into_owned();
     match kind {
         0 => AdminFrame::Hello {
             version: ADMIN_PROTOCOL_VERSION,
         },
         1 => AdminFrame::Snapshot,
-        2 => AdminFrame::Watch { windows: c },
-        3 => AdminFrame::Spans { max: c },
-        4 => AdminFrame::HelloOk {
+        2 => AdminFrame::Spans { max: c },
+        3 => AdminFrame::HelloOk {
             version: ADMIN_PROTOCOL_VERSION,
             shards: c,
-            window_ns: a,
         },
-        5 => AdminFrame::SnapshotReply { json },
-        6 => AdminFrame::WindowDelta { window_id: b, json },
-        7 => AdminFrame::SpansReply { jsonl: json },
-        8 => AdminFrame::WatchDone,
+        4 => AdminFrame::SnapshotReply { json },
+        5 => AdminFrame::SpansReply { jsonl: json },
         _ => AdminFrame::Error { message: json },
     }
 }
@@ -38,11 +34,11 @@ proptest! {
 
     #[test]
     fn every_admin_frame_round_trips(
-        (kind, a, b) in (0usize..10, any::<u64>(), any::<u64>()),
+        kind in 0usize..7,
         c in any::<u32>(),
         text in prop::collection::vec(any::<u8>(), 0..96),
     ) {
-        let frame = build_frame(kind, a, b, c, &text);
+        let frame = build_frame(kind, c, &text);
         let bytes = frame.encode();
 
         let mut cursor = &bytes[..];
@@ -56,11 +52,11 @@ proptest! {
 
     #[test]
     fn truncated_admin_frames_are_rejected_not_panicked(
-        (kind, a, b) in (0usize..10, any::<u64>(), any::<u64>()),
+        kind in 0usize..7,
         c in any::<u32>(),
         cut_seed in any::<u64>(),
     ) {
-        let frame = build_frame(kind, a, b, c, b"{\"k\":1}");
+        let frame = build_frame(kind, c, b"{\"k\":1}");
         let bytes = frame.encode();
         let cut = 1 + (cut_seed as usize) % (bytes.len() - 1);
         let mut cursor = &bytes[..cut];
@@ -77,12 +73,12 @@ proptest! {
 
     #[test]
     fn trailing_bytes_are_malformed(
-        (kind, a, b) in (0usize..10, any::<u64>(), any::<u64>()),
+        kind in 0usize..7,
         (c, junk) in (any::<u32>(), any::<u8>()),
     ) {
         // The payload decoder is exact: any unconsumed suffix is an error,
         // so a frame can never smuggle bytes past the parser.
-        let frame = build_frame(kind, a, b, c, b"{}");
+        let frame = build_frame(kind, c, b"{}");
         let mut payload = frame.encode_payload();
         payload.push(junk);
         prop_assert!(AdminFrame::decode_payload(&payload).is_err());
@@ -117,7 +113,6 @@ proptest! {
             AdminFrame::HelloOk {
                 version: raw_version,
                 shards: 4,
-                window_ns: 1_000_000_000,
             }
         };
         match AdminFrame::decode_payload(&frame.encode_payload()) {

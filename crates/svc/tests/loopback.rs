@@ -323,7 +323,7 @@ fn stats_frame_reports_live_counters() {
 
     let json = fetch_stats(service.local_addr()).expect("stats fetch");
     assert!(json.contains("\"svc.grants\": 100"), "{json}");
-    assert!(json.contains("svc.grant_latency_ns"), "{json}");
+    assert!(json.contains("svc.span.shard0.total_ns"), "{json}");
     assert!(json.contains("\"svc.rejected.queue_full\": 0"), "{json}");
     let _ = service.shutdown();
 }

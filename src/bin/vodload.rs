@@ -23,7 +23,7 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vod_dhb::sim::{ArrivalShape, ZipfCatalog};
 use vod_dhb::svc::{
@@ -81,8 +81,8 @@ const USAGE: &str = "usage:\n  \
     --chaos SEED self-hosts with a seeded fault plan (implies --self-host)\n\
     and fails the run unless every session recovers;\n\
     --chaos-stall-ms adds a planned writer stall to the chaos plan;\n\
-    --telemetry-out streams admin-plane snapshots (one JSON line per metric\n\
-    window) for the duration of the run; with --self-host it stands up the\n\
+    --telemetry-out streams admin-plane snapshots (one JSON line per\n\
+    second, plus a final one) for the duration of the run; with --self-host it stands up the\n\
     admin listener automatically, with --addr it needs --admin-addr pointing\n\
     at the remote server's admin plane (for --self-host, --admin-addr is the\n\
     bind address of the hosted admin listener);\n\
@@ -241,9 +241,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// How often `--telemetry-out` records a snapshot.
+const SCRAPE_INTERVAL: Duration = Duration::from_secs(1);
+
 /// Streams admin-plane snapshots into `path` (one compact JSON line per
-/// completed metric window) until `stop` is raised, then takes one final
-/// snapshot so even a sub-window run leaves a record. Returns the line
+/// [`SCRAPE_INTERVAL`]) until `stop` is raised, then takes one final
+/// snapshot so even a sub-second run leaves a record. Returns the line
 /// count.
 fn scrape_telemetry(admin: &str, path: &str, stop: &AtomicBool) -> Result<u64, String> {
     let mut client = AdminClient::connect(admin)
@@ -259,14 +262,17 @@ fn scrape_telemetry(admin: &str, path: &str, stop: &AtomicBool) -> Result<u64, S
         writeln!(file, "{line}").map_err(|e| format!("cannot write {path}: {e}"))
     };
     let mut lines = 0u64;
+    let mut next = Instant::now() + SCRAPE_INTERVAL;
     while !stop.load(Ordering::Relaxed) {
-        // One watch delta == one completed server window; it returns early
-        // if the server starts draining.
-        if client.watch(1, |_, _| {}).is_err() {
-            break;
+        // Short naps, so a raised `stop` ends the wait promptly.
+        let now = Instant::now();
+        if now < next {
+            std::thread::sleep((next - now).min(Duration::from_millis(10)));
+            continue;
         }
         write_snapshot(&mut client)?;
         lines += 1;
+        next += SCRAPE_INTERVAL;
     }
     write_snapshot(&mut client)?;
     Ok(lines + 1)
@@ -386,7 +392,7 @@ fn main() -> ExitCode {
     };
 
     // Telemetry scraper: a side thread streams one snapshot line per
-    // completed metric window into the JSONL sink while the load runs.
+    // second into the JSONL sink while the load runs.
     let scrape_addr = match (&args.telemetry_out, &hosted) {
         (Some(_), Some(service)) => service.admin_addr().map(|a| a.to_string()),
         (Some(_), None) => args.admin_addr.clone(),

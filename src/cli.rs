@@ -154,8 +154,8 @@ pub enum Command {
     Vodtop {
         /// The server's admin scrape-plane address.
         addr: String,
-        /// How many telemetry refreshes to render (each waits for one
-        /// completed metric window).
+        /// How many telemetry refreshes to take after the first snapshot,
+        /// one per second.
         intervals: u32,
         /// Append each full snapshot as one JSON line to this file.
         snapshot_out: Option<String>,
@@ -1227,10 +1227,41 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// How long `vodtop` waits between two snapshots.
+const VODTOP_INTERVAL: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Per-second rates between two admin snapshots of one server.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SnapshotRates {
+    requests: f64,
+    grants: f64,
+    bytes: f64,
+}
+
+/// Differences the cumulative `svc.requests`, `svc.grants` and
+/// `svc.bytes_delivered` counters of two snapshots over their
+/// `svc.snapshot.mono_ns` stamps. `None` when no time elapsed, or when the
+/// stamp or a counter went backwards: the server restarted in between, and
+/// its counters started over.
+fn snapshot_rates(before: &str, after: &str) -> Option<SnapshotRates> {
+    let delta = |name: &str| {
+        let a = vod_svc::find_counter(before, name)?;
+        vod_svc::find_counter(after, name)?.checked_sub(a)
+    };
+    let elapsed_ns = delta("svc.snapshot.mono_ns").filter(|&ns| ns > 0)?;
+    let per_sec = |name: &str| Some(delta(name)? as f64 * 1e9 / elapsed_ns as f64);
+    Some(SnapshotRates {
+        requests: per_sec("svc.requests")?,
+        grants: per_sec("svc.grants")?,
+        bytes: per_sec("svc.bytes_delivered")?,
+    })
+}
+
 /// The per-shard per-stage latency table `vodtop` renders from one
 /// snapshot: `p50/p99` per pipeline stage plus end-to-end and the live
-/// queue/lag/restart-budget gauges.
-fn render_vodtop(json: &str, shards: u32) -> String {
+/// queue/lag/restart-budget gauges, headed by the rates over the last
+/// interval.
+fn render_vodtop(json: &str, shards: u32, rates: Option<SnapshotRates>) -> String {
     let mut header = vec!["shard".to_owned(), "spans".to_owned()];
     for stage in vod_svc::SPAN_STAGES {
         header.push(format!("{stage} p50/p99"));
@@ -1273,17 +1304,22 @@ fn render_vodtop(json: &str, shards: u32) -> String {
     }
     let requests = vod_svc::find_counter(json, "svc.requests").unwrap_or(0);
     let grants = vod_svc::find_counter(json, "svc.grants").unwrap_or(0);
-    let window = vod_svc::find_counter(json, "svc.snapshot.window_id").unwrap_or(0);
-    let rps = vod_svc::find_gauge(json, "svc.rate.requests_per_sec").unwrap_or(0.0);
-    let gps = vod_svc::find_gauge(json, "svc.rate.grants_per_sec").unwrap_or(0.0);
     let bytes = vod_svc::find_counter(json, "svc.bytes_delivered").unwrap_or(0);
-    let bps = vod_svc::find_gauge(json, "svc.rate.bytes_per_sec").unwrap_or(0.0);
     let published = vod_svc::find_counter(json, "svc.ring.published").unwrap_or(0);
     let fanout = vod_svc::find_counter(json, "svc.ring.fanout").unwrap_or(0);
+    let (rps, gps, bps) = rates.map_or_else(
+        || ("-".to_owned(), "-".to_owned(), "-".to_owned()),
+        |r| {
+            (
+                format!("{:.1}", r.requests),
+                format!("{:.1}", r.grants),
+                format!("{:.0}", r.bytes),
+            )
+        },
+    );
     format!(
-        "window {window}: {requests} requests, {grants} grants; last window {rps:.1} req/s, \
-         {gps:.1} grants/s\n\
-         data plane: {bytes} bytes delivered ({bps:.0} B/s last window), \
+        "{requests} requests, {grants} grants; last interval {rps} req/s, {gps} grants/s\n\
+         data plane: {bytes} bytes delivered ({bps} B/s last interval), \
          {published} published, {fanout} fanned out\n{}",
         render_table(&table)
     )
@@ -1309,12 +1345,15 @@ fn run_vodtop(
                 .map_err(|e| UsageError(format!("cannot open {path}: {e}")))
         })
         .transpose()?;
-    let mut last = String::new();
+    // Counters are cumulative: each refresh's rates are the difference
+    // from the previous snapshot, so the first one is only a baseline.
+    let mut last = client.snapshot().map_err(scrape_err)?;
+    let mut rates = None;
     for _ in 0..intervals {
-        // Pace on the server's own metric windows: one refresh per
-        // completed window (a draining server ends the wait early).
-        client.watch(1, |_, _| {}).map_err(scrape_err)?;
-        last = client.snapshot().map_err(scrape_err)?;
+        std::thread::sleep(VODTOP_INTERVAL);
+        let next = client.snapshot().map_err(scrape_err)?;
+        rates = snapshot_rates(&last, &next);
+        last = next;
         if let Some(file) = &mut sink {
             // The pretty snapshot only breaks lines at structural
             // whitespace, so stripping it yields one valid JSON line.
@@ -1323,7 +1362,7 @@ fn run_vodtop(
                 .map_err(|e| UsageError(format!("cannot write snapshot: {e}")))?;
         }
     }
-    let mut out = render_vodtop(&last, client.shards());
+    let mut out = render_vodtop(&last, client.shards(), rates);
     if spans > 0 {
         let jsonl = client.spans(spans).map_err(scrape_err)?;
         out.push_str("\nrecent spans:\n");
@@ -1460,7 +1499,6 @@ mod tests {
             shards: 2,
             dilation: 1_000,
             admin_addr: Some("127.0.0.1:0".to_owned()),
-            telemetry_window: std::time::Duration::from_millis(25),
             ..vod_svc::SvcConfig::default()
         };
         let service = vod_svc::Service::start("127.0.0.1:0", &config).unwrap();
@@ -1496,6 +1534,51 @@ mod tests {
         }
         let _ = std::fs::remove_file(&out_path);
         let _ = service.shutdown();
+    }
+
+    /// A snapshot in the admin plane's pretty JSON layout.
+    fn snapshot(mono_ns: u64, requests: u64, grants: u64, bytes: u64) -> String {
+        let mut r = vod_obs::Registry::new();
+        r.inc("svc.snapshot.mono_ns", mono_ns);
+        r.inc("svc.requests", requests);
+        r.inc("svc.grants", grants);
+        r.inc("svc.bytes_delivered", bytes);
+        r.to_json_pretty()
+    }
+
+    #[test]
+    fn snapshot_rates_difference_counters_over_elapsed_time() {
+        let before = snapshot(1_000_000_000, 100, 90, 4_096);
+        let after = snapshot(3_000_000_000, 700, 490, 1_052_672);
+        assert_eq!(
+            snapshot_rates(&before, &after),
+            Some(SnapshotRates {
+                requests: 300.0,
+                grants: 200.0,
+                bytes: 524_288.0,
+            })
+        );
+    }
+
+    #[test]
+    fn snapshot_rates_need_elapsed_time() {
+        let a = snapshot(5_000, 10, 10, 0);
+        let b = snapshot(5_000, 20, 20, 0);
+        assert_eq!(snapshot_rates(&a, &b), None);
+    }
+
+    #[test]
+    fn snapshot_rates_refuse_a_restarted_server() {
+        // The second snapshot comes from a fresh server: its stamp (and
+        // here its counters) started over, so no rate, never a negative
+        // one.
+        let old = snapshot(9_000_000_000, 5_000, 5_000, 1 << 20);
+        let fresh = snapshot(2_000_000_000, 40, 40, 0);
+        assert_eq!(snapshot_rates(&old, &fresh), None);
+        // A stamp that advanced past counters that went backwards is a
+        // restart too.
+        let later = snapshot(12_000_000_000, 40, 40, 0);
+        assert_eq!(snapshot_rates(&old, &later), None);
     }
 
     #[test]
