@@ -11,35 +11,37 @@
 //! # Ownership and the wakeup path
 //!
 //! ```text
-//!   accept thread ──new conns──▶ LoopShared.inbox ──▶ loop thread
-//!   shard threads ──ConnSender::send──▶ ConnOut queue ──dirty token──▶ inbox
-//!                                              │                        │
-//!                                              ╰─── Waker::wake ────────╯
+//!   accept thread ──new conns──────────────▶ inbox ──▶ loop k
+//!   loop j: read ─▶ admit ─▶ shard s FIFO   (s % io_threads == j: inline)
+//!                       ╰──▶ loop k's inbox (s % io_threads == k ≠ j)
+//!   loop k: run shard s ─▶ answer ─▶ ConnOut queue ─dirty token─▶ inbox of
+//!                                    the connection's own loop ─▶ flush
+//!   every inbox push is followed by that loop's Waker::wake
 //! ```
 //!
 //! Only the loop thread touches a `Conn` (its socket, decoder, interest
-//! registration). Producers — shards delivering grants, sessions replaying
-//! answers — touch only the connection's [`ConnOut`] queue, then mark the
-//! connection dirty in the loop's inbox and poke its [`Waker`]. The
-//! `notified` flag coalesces wakeups: many queued frames cost one inbox
-//! entry, and the loop clears the flag *before* flushing so a produce that
-//! races the flush re-marks the connection rather than being missed.
+//! registration) and only the owning loop touches a [`ShardWorker`].
+//! Producers — shards delivering grants, the data plane fanning out
+//! chunks, sessions replaying answers — touch only the connection's
+//! [`ConnOut`] queue, then mark the connection dirty in its loop's inbox
+//! and poke its [`Waker`]. For a request whose shard lives on the
+//! connection's own loop that is the same thread: the grant is decoded,
+//! scheduled, encoded and flushed in one loop iteration, with no channel
+//! and no thread wake. The `notified` flag coalesces wakeups: many queued
+//! frames cost one inbox entry, and the loop clears the flag *before*
+//! flushing so a produce that races the flush re-marks the connection
+//! rather than being missed.
 //!
 //! # Backpressure
 //!
-//! The outbound queue is bounded in frames (`outbound_cap`), exactly like
-//! the old per-connection writer channel. A shard delivering into a full
-//! queue blocks on the queue's condvar until the loop flushes room free —
-//! so a client that stops reading still backpressures its own pipeline
-//! (and, transitively, the shard answering it), never an unbounded buffer.
-//! The *loop thread itself* must never block that way: sends from the loop
-//! (control replies, session resume replays) push unbounded, and the loop
-//! instead throttles by dropping read interest while a connection's queue
-//! is at capacity. Crucially, that condvar wait happens with **no session
-//! lock held** ([`ConnSender::wait_room`] runs before `Session::deliver`
-//! takes the delivery lock): only the loop can free room, and the loop
-//! takes the delivery lock for rejections and resumes, so a producer that
-//! waited while holding it would deadlock the whole loop.
+//! The outbound queue is bounded in frames (`outbound_cap`). No send ever
+//! blocks — every producer is a loop thread, and a loop must never wait on
+//! a queue that only a loop can drain. Instead a loop throttles by
+//! dropping read interest while a connection's queue is at capacity, so a
+//! client that stops reading stops feeding new work; the answers it
+//! already has in flight are bounded by the shards' admission bound
+//! (`queue_cap`), never an unbounded buffer. Nothing here holds a session
+//! lock across a wait, because nothing waits.
 //!
 //! # Shutdown backstop
 //!
@@ -51,20 +53,20 @@
 //! # Drain order
 //!
 //! Shutdown happens in two phases (see `Service::shutdown`): on the drain
-//! flag each loop drops its shard senders, queues one `Draining` frame per
-//! live connection, stops reading, and acks; once the shards have drained
-//! and been joined, the finish flag tells each loop to close every
-//! connection as soon as its queue is flushed and its in-flight answers
-//! (`ConnOut::pending`) have landed — so every admitted request's answer
-//! reaches the socket before the fd closes, matching the old writer-thread
-//! guarantee.
+//! flag each loop stops reading (so it admits and forwards nothing more),
+//! queues one `Draining` frame per live connection, and acks. Its shards
+//! keep answering what was already admitted. Once every loop has acked, the
+//! finish flag tells each loop to close every connection as soon as its
+//! queue is flushed and its in-flight answers (`ConnOut::pending`) have
+//! landed; a loop exits only once it has no connections left *and* its
+//! shard FIFOs and inbox hold no requests — so every admitted request's
+//! answer reaches the socket before the fd closes, including requests
+//! forwarded from another loop.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,17 +76,9 @@ use vod_obs::{Event, RejectKind};
 
 use crate::server::Shared;
 use crate::session::{lock_unpoisoned, Admit, Session};
-use crate::shard::{ReplyTo, ShardMsg};
+use crate::shard::{ReplyTo, ShardRequest, ShardWorker};
 use crate::telemetry::{dur_ns, Outbound, SpanStart};
 use crate::wire::{Frame, FrameDecoder, ARRIVAL_AUTO, PROTOCOL_VERSION};
-
-thread_local! {
-    /// True on event-loop threads. Producer sends block on a full outbound
-    /// queue; loop-thread sends must not (the loop is the only thing that
-    /// can free room), so they push unbounded and the loop throttles reads
-    /// instead.
-    static IS_LOOP_THREAD: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Poller token of the loop's waker pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -181,9 +175,6 @@ pub(crate) struct ConnOut {
     gen: u64,
     owner: Arc<LoopShared>,
     state: Mutex<OutQueue>,
-    /// Signalled when flushing frees room (or the queue closes), waking
-    /// blocked producer sends.
-    room: Condvar,
     /// Coalesces dirty marks: set by the first producer after a flush,
     /// cleared by the loop before it flushes.
     notified: AtomicBool,
@@ -194,30 +185,9 @@ pub(crate) struct ConnOut {
 }
 
 impl ConnOut {
-    fn send(&self, out: Outbound) {
-        self.wait_room();
-        self.push(out);
-    }
-
-    /// Blocks a producer thread until the queue has room (or closes).
-    /// No-op on loop threads — the loop is the only thing that can free
-    /// room, so it must never wait for it. Callers MUST NOT hold any
-    /// session lock here: the wait is released by the loop's flush, and
-    /// the loop takes session locks for rejections and resumes.
-    fn wait_room(&self) {
-        if IS_LOOP_THREAD.with(Cell::get) {
-            return;
-        }
-        let mut q = lock_unpoisoned(&self.state);
-        while q.entries.len() >= q.cap && !q.closed {
-            q = self.room.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// Enqueues unconditionally, never blocking — safe to call with a
-    /// session's delivery lock held. May transiently push past `cap`
-    /// (racing a resume's queue swap); the loop's read throttle bounds
-    /// sustained growth.
+    /// session lock held. May push past `cap`: the loop's read throttle
+    /// and the shards' admission bound limit how far.
     fn push(&self, out: Outbound) {
         let bytes = out.frame.encode();
         let mut q = lock_unpoisoned(&self.state);
@@ -285,7 +255,8 @@ impl ConnOut {
 }
 
 /// Where outbound frames for one connection go. Cloneable and send-able:
-/// sessions and shard reply routes hold one.
+/// sessions and shard reply routes hold one, and a shard on another loop
+/// may send on it.
 #[derive(Clone)]
 pub(crate) enum ConnSender {
     /// A live event-loop connection.
@@ -300,32 +271,12 @@ pub(crate) enum ConnSender {
 }
 
 impl ConnSender {
+    /// Enqueues one frame; never blocks (see [`ConnOut::push`]).
     pub(crate) fn send(&self, out: Outbound) {
-        match self {
-            ConnSender::Conn(out_half) => out_half.send(out),
-            #[cfg(test)]
-            ConnSender::Sink(q) | ConnSender::Stalled(q) => lock_unpoisoned(q).push_back(out),
-        }
-    }
-
-    /// Enqueues without ever blocking, even from a producer thread — the
-    /// only send allowed while a session's delivery lock is held.
-    pub(crate) fn send_now(&self, out: Outbound) {
         match self {
             ConnSender::Conn(out_half) => out_half.push(out),
             #[cfg(test)]
             ConnSender::Sink(q) | ConnSender::Stalled(q) => lock_unpoisoned(q).push_back(out),
-        }
-    }
-
-    /// Blocks a producer thread until the outbound queue has room (or the
-    /// connection dies); the backpressure half of [`ConnSender::send`],
-    /// split out so callers can wait *before* taking session locks.
-    pub(crate) fn wait_room(&self) {
-        match self {
-            ConnSender::Conn(out_half) => out_half.wait_room(),
-            #[cfg(test)]
-            ConnSender::Sink(_) | ConnSender::Stalled(_) => {}
         }
     }
 
@@ -390,6 +341,8 @@ struct Inbox {
     /// `(token, gen)` of connections with fresh outbound frames (or a
     /// pending count that just reached zero).
     dirty: Vec<(usize, u64)>,
+    /// Requests admitted on another loop for a shard this loop owns.
+    requests: Vec<ShardRequest>,
 }
 
 /// The cross-thread face of one event loop.
@@ -405,10 +358,16 @@ impl LoopShared {
         lock_unpoisoned(&self.inbox).dirty.push((token, gen));
         let _ = self.waker.wake();
     }
+
+    /// Hands a request to the loop that owns its shard.
+    fn forward(&self, req: ShardRequest) {
+        lock_unpoisoned(&self.inbox).requests.push(req);
+        let _ = self.waker.wake();
+    }
 }
 
-/// Counts loops that have acknowledged phase one of the drain (shard
-/// senders dropped, `Draining` queued, reads stopped).
+/// Counts loops that have acknowledged phase one of the drain (reads
+/// stopped, `Draining` queued).
 struct DrainGate {
     acked: Mutex<usize>,
     cv: Condvar,
@@ -423,10 +382,11 @@ pub(crate) struct LoopPool {
 }
 
 impl LoopPool {
-    /// Spawns `threads` event loops (at least one).
+    /// Spawns `threads` event loops (at least one); shard `s` runs on
+    /// loop `s % threads`.
     pub(crate) fn spawn(
         shared: &Arc<Shared>,
-        shard_txs: &[SyncSender<ShardMsg>],
+        shards: Vec<ShardWorker>,
         threads: usize,
     ) -> io::Result<LoopPool> {
         let threads = threads.max(1);
@@ -434,9 +394,9 @@ impl LoopPool {
             acked: Mutex::new(0),
             cv: Condvar::new(),
         });
+        let mut pollers = Vec::with_capacity(threads);
         let mut loops = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for i in 0..threads {
+        for _ in 0..threads {
             let poller = Poller::new()?;
             let ls = Arc::new(LoopShared {
                 waker: Waker::new()?,
@@ -444,11 +404,23 @@ impl LoopPool {
                 finish: AtomicBool::new(false),
             });
             poller.register(&ls.waker, WAKE_TOKEN, Interest::READABLE)?;
+            pollers.push(poller);
+            loops.push(ls);
+        }
+        let mut owned: Vec<Vec<ShardWorker>> = (0..threads).map(|_| Vec::new()).collect();
+        // Shards arrive in id order, so loop i holds shard s at s / threads.
+        for (id, shard) in shards.into_iter().enumerate() {
+            owned[id % threads].push(shard);
+        }
+        let mut handles = Vec::with_capacity(threads);
+        for (i, (poller, shards)) in pollers.into_iter().zip(owned).enumerate() {
             let mut el = EventLoop {
                 shared: Arc::clone(shared),
-                ls: Arc::clone(&ls),
+                ls: Arc::clone(&loops[i]),
+                peers: loops.clone(),
                 gate: Arc::clone(&gate),
-                shard_txs: Some(shard_txs.to_vec()),
+                index: i,
+                shards,
                 poller,
                 conns: Vec::new(),
                 free: Vec::new(),
@@ -464,7 +436,6 @@ impl LoopPool {
                     .name(format!("vod-svc-io-{i}"))
                     .spawn(move || el.run())?,
             );
-            loops.push(ls);
         }
         Ok(LoopPool {
             loops,
@@ -484,9 +455,9 @@ impl LoopPool {
     }
 
     /// Phase one: wake every loop (the caller already set the drain flag)
-    /// and wait until each has dropped its shard senders, queued `Draining`
-    /// frames, and stopped reading. After this returns, no loop will
-    /// submit new work to the shards.
+    /// and wait until each has queued `Draining` frames and stopped
+    /// reading. After this returns, no loop will admit or forward new work
+    /// to the shards.
     pub(crate) fn begin_drain(&self) {
         for ls in &self.loops {
             let _ = ls.waker.wake();
@@ -502,7 +473,8 @@ impl LoopPool {
     }
 
     /// Phase two: close every connection once its queue is flushed and its
-    /// in-flight answers have landed, then join the loops.
+    /// in-flight answers have landed, answer every queued request, then
+    /// join the loops.
     pub(crate) fn finish(&self) {
         for ls in &self.loops {
             ls.finish.store(true, Ordering::SeqCst);
@@ -557,11 +529,13 @@ enum Action {
 struct EventLoop {
     shared: Arc<Shared>,
     ls: Arc<LoopShared>,
+    /// Every loop's cross-thread face, indexed by loop; `peers[index]` is
+    /// this loop's own.
+    peers: Vec<Arc<LoopShared>>,
     gate: Arc<DrainGate>,
-    /// The loop's own clones of the shard request senders; dropped in
-    /// phase one of the drain so the shards see channel closure only after
-    /// every loop stopped admitting.
-    shard_txs: Option<Vec<SyncSender<ShardMsg>>>,
+    index: usize,
+    /// The shards this loop owns: shard `s` is `shards[s / peers.len()]`.
+    shards: Vec<ShardWorker>,
     poller: Poller,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -577,7 +551,6 @@ struct EventLoop {
 
 impl EventLoop {
     fn run(&mut self) {
-        IS_LOOP_THREAD.with(|f| f.set(true));
         let mut events = Events::with_capacity(1024);
         loop {
             let timeout = self.next_timeout();
@@ -596,24 +569,34 @@ impl EventLoop {
             if woken {
                 self.ls.waker.drain();
             }
-            let (new_conns, dirty) = {
+            if !self.finishing && self.ls.finish.load(Ordering::SeqCst) {
+                self.enter_finish();
+            }
+            let (new_conns, requests) = {
                 let mut inbox = lock_unpoisoned(&self.ls.inbox);
                 (
                     std::mem::take(&mut inbox.new_conns),
-                    std::mem::take(&mut inbox.dirty),
+                    std::mem::take(&mut inbox.requests),
                 )
             };
             for (stream, id) in new_conns {
                 self.insert_conn(stream, id);
             }
+            let n = self.peers.len();
+            for req in requests {
+                self.shards[req.shard / n].enqueue(req);
+            }
+            // Schedule everything this batch admitted, then flush the
+            // answers: the inline route ends on this thread.
+            for shard in &mut self.shards {
+                shard.run();
+            }
+            let dirty = std::mem::take(&mut lock_unpoisoned(&self.ls.inbox).dirty);
             for (token, gen) in dirty {
                 self.handle_dirty(token, gen);
             }
             if !self.drain_seen && self.shared.draining.load(Ordering::SeqCst) {
                 self.enter_drain();
-            }
-            if !self.finishing && self.ls.finish.load(Ordering::SeqCst) {
-                self.enter_finish();
             }
             self.flush_expired_stalls();
             if self
@@ -628,34 +611,39 @@ impl EventLoop {
                     }
                 }
             }
-            if self.finishing && self.live == 0 {
+            // Every request forwarded here was pushed before the finish
+            // flag was set, so with the flag seen an empty inbox stays
+            // empty.
+            if self.finishing
+                && self.live == 0
+                && self.shards.iter().all(ShardWorker::is_idle)
+                && lock_unpoisoned(&self.ls.inbox).requests.is_empty()
+            {
                 return;
             }
         }
     }
 
-    /// The epoll timeout: indefinite unless a chaos writer stall or the
+    /// The epoll timeout: indefinite unless a chaos writer stall, a
+    /// shard's restart backoff or service-time pacing, or the
     /// finish-grace deadline needs a timed wakeup (every other state
     /// change pokes the waker).
     fn next_timeout(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let finish = self
-            .finish_deadline
-            .map(|deadline| deadline.saturating_duration_since(now));
-        let stall = if self.shared.chaos.is_empty() {
+        let stalls = if self.shared.chaos.is_empty() {
             None
         } else {
             self.conns
                 .iter()
                 .flatten()
                 .filter_map(|c| c.stall_until)
-                .map(|until| until.saturating_duration_since(now))
                 .min()
         };
-        match (finish, stall) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (timeout, None) | (None, timeout) => timeout,
-        }
+        let shards = self.shards.iter().filter_map(ShardWorker::wake_at).min();
+        [self.finish_deadline, stalls, shards]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     fn handle_event(&mut self, ev: vod_net::Event) {
@@ -869,16 +857,17 @@ impl EventLoop {
                 if deduped {
                     stats.requests_deduped.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    let shard_txs = self.shard_txs.as_deref().unwrap_or(&[]);
                     let shard = video as usize % shared.shards;
                     let reject = if video >= shared.videos {
                         Some(RejectKind::UnknownVideo)
                     } else if !shared.meta[video as usize].valid {
                         Some(RejectKind::InvalidVideo)
-                    } else if shard_txs.is_empty() || shared.draining.load(Ordering::SeqCst) {
+                    } else if self.drain_seen || shared.draining.load(Ordering::SeqCst) {
                         Some(RejectKind::Draining)
                     } else if shared.shard_down[shard].load(Ordering::Acquire) {
                         Some(RejectKind::ShardDown)
+                    } else if !shared.telemetry.queue_enter(shard, shared.queue_cap) {
+                        Some(RejectKind::QueueFull)
                     } else {
                         let reply = match &conn.session {
                             Some(s) => ReplyTo::Session {
@@ -887,7 +876,11 @@ impl EventLoop {
                             },
                             None => ReplyTo::Direct(conn.sender.clone()),
                         };
-                        let msg = ShardMsg::Request {
+                        // Count the answer in flight before the shard can
+                        // see the request, so a close check never misses it.
+                        conn.out.pending.fetch_add(1, Ordering::AcqRel);
+                        let req = ShardRequest {
+                            shard,
                             conn: conn.id,
                             seq,
                             video,
@@ -899,34 +892,13 @@ impl EventLoop {
                                 decode_ns,
                             }),
                         };
-                        // Enter the gauge *before* the send: the shard
-                        // decrements at receipt, and on a fast path it can
-                        // dequeue before a post-send increment would run.
-                        // The pending count follows the same rule so a
-                        // lightning-fast answer can never be missed by a
-                        // close check.
-                        conn.out.pending.fetch_add(1, Ordering::AcqRel);
-                        shared.telemetry.queue_enter(shard);
-                        match shard_txs[shard].try_send(msg) {
-                            Ok(()) => None,
-                            Err(TrySendError::Full(_)) => {
-                                shared.telemetry.queue_leave(shard);
-                                conn.out.pending.fetch_sub(1, Ordering::AcqRel);
-                                Some(RejectKind::QueueFull)
-                            }
-                            // Supervision keeps shard threads alive, so a
-                            // closed queue outside a drain means the shard
-                            // is gone for good.
-                            Err(TrySendError::Disconnected(_)) => {
-                                shared.telemetry.queue_leave(shard);
-                                conn.out.pending.fetch_sub(1, Ordering::AcqRel);
-                                if shared.draining.load(Ordering::SeqCst) {
-                                    Some(RejectKind::Draining)
-                                } else {
-                                    Some(RejectKind::ShardDown)
-                                }
-                            }
+                        let n = self.peers.len();
+                        if shard % n == self.index {
+                            self.shards[shard / n].enqueue(req);
+                        } else {
+                            self.peers[shard % n].forward(req);
                         }
+                        None
                     };
                     if let Some(reason) = reject {
                         stats.count_rejection(reason);
@@ -1055,13 +1027,12 @@ impl EventLoop {
     }
 
     /// Tears the connection down now: closes the queue (finishing spans),
-    /// wakes blocked producers, deregisters, frees the slot.
+    /// deregisters, frees the slot.
     fn hard_close(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::take) else {
             return;
         };
         lock_unpoisoned(&conn.out.state).close_discard();
-        conn.out.room.notify_all();
         let _ = self.poller.deregister(&conn.stream);
         self.live -= 1;
         self.free.push(token);
@@ -1088,7 +1059,9 @@ impl EventLoop {
                     // Read throttle: a full outbound queue drops read
                     // interest, so a slow client stops feeding new work
                     // instead of wedging the loop.
-                    readable: !conn.read_closed && !self.drain_seen && len < conn.out_cap(),
+                    readable: !conn.read_closed
+                        && !self.drain_seen
+                        && len < self.shared.outbound_cap,
                     writable: len > 0 && !closed && conn.stall_until.is_none(),
                 };
                 (false, desired)
@@ -1187,11 +1160,9 @@ impl EventLoop {
                         q.close_discard();
                         drop(q);
                         conn.dead = true;
-                        conn.out.room.notify_all();
                         return;
                     }
                     let done_at = Instant::now();
-                    let mut finished = false;
                     while n > 0 {
                         let head = q.entries.front_mut().expect("bytes written beyond queue");
                         let rem = head.bytes.len() - head.written;
@@ -1204,18 +1175,12 @@ impl EventLoop {
                                 span.finish(wait, dur_ns(done_at.saturating_duration_since(fs)));
                             }
                             conn.written_frames += 1;
-                            finished = true;
                         } else {
                             head.written += n;
                             n = 0;
                         }
                     }
-                    let emptied = q.entries.is_empty();
-                    drop(q);
-                    if finished {
-                        conn.out.room.notify_all();
-                    }
-                    if emptied {
+                    if q.entries.is_empty() {
                         return;
                     }
                 }
@@ -1224,13 +1189,11 @@ impl EventLoop {
                     drop(q);
                 }
                 Err(_) => {
-                    // Dead client: discard so producers — shards included —
-                    // are never wedged, exactly like the old writer's
-                    // consume-after-failure loop.
+                    // Dead client: discard, so later answers for it are
+                    // dropped on arrival instead of piling up.
                     q.close_discard();
                     drop(q);
                     conn.dead = true;
-                    conn.out.room.notify_all();
                     return;
                 }
             }
@@ -1272,7 +1235,6 @@ impl EventLoop {
                 cap: self.shared.outbound_cap,
                 closed: false,
             }),
-            room: Condvar::new(),
             notified: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
         });
@@ -1314,12 +1276,10 @@ impl EventLoop {
         }
     }
 
-    /// Phase one of the drain: stop admitting, notify clients, ack.
+    /// Phase one of the drain: stop admitting, notify clients, ack. The
+    /// loop's shards keep answering what was already admitted.
     fn enter_drain(&mut self) {
         self.drain_seen = true;
-        // Drop this loop's shard senders; the shards see closure once every
-        // loop (and the service handle) has done the same.
-        self.shard_txs = None;
         for token in 0..self.conns.len() {
             let notify = {
                 match self.conns[token].as_ref() {
@@ -1370,11 +1330,5 @@ impl EventLoop {
                 self.sync_conn(token);
             }
         }
-    }
-}
-
-impl Conn {
-    fn out_cap(&self) -> usize {
-        lock_unpoisoned(&self.out.state).cap
     }
 }

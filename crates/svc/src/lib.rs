@@ -15,13 +15,13 @@
 //! Everything is dependency-free `std` plus the raw-epoll `vod-net`
 //! wrapper: a small pool of readiness-driven event-loop threads owns every
 //! client connection (incremental frame decode, bounded outbound queues
-//! flushed with vectored writes — see `eventloop`), with worker threads
-//! and bounded channels behind them for the scheduler shards. [`load`] is
+//! flushed with vectored writes — see `eventloop`) and runs the scheduler
+//! shards inline, each shard on one loop. [`load`] is
 //! the matching open/closed-loop load generator (`vodload`'s engine),
 //! reused by the loopback tests as the service↔simulator equivalence
 //! oracle.
 //!
-//! Resilience (protocol v3): shard workers run under a supervisor that
+//! Resilience (protocol v3): shards run under a supervisor that
 //! catches panics and rebuilds schedulers from a per-shard state journal;
 //! clients hold resumable sessions whose missed answers replay
 //! byte-identically after a reconnect; and a deterministic [`ChaosPlan`]

@@ -3,14 +3,16 @@
 //!
 //! Thread topology: one accept thread, a small pool of event-loop threads
 //! (`io_threads`, default one per core up to 8) owning every client
-//! connection, `shards` supervised scheduler threads, and one thread per
-//! admin scrape connection. The loops validate and route frames; every
-//! outbound frame goes through the connection's **bounded** outbound queue
-//! (flushed by its loop with vectored writes), which is the per-connection
-//! write backpressure: a client that stops reading eventually blocks its
-//! own pipeline (and, transitively, any shard trying to answer it), never
-//! an unbounded buffer. See `eventloop.rs` for the ownership and wakeup
-//! story.
+//! connection, and one thread per admin scrape connection. The `shards`
+//! supervised schedulers have no threads of their own: shard `s` runs on
+//! loop `s % io_threads`, which schedules requests for it inline and takes
+//! requests other loops admitted through its inbox. The loops validate,
+//! admit and route frames; every outbound frame goes through the
+//! connection's **bounded** outbound queue (flushed by its loop with
+//! vectored writes), and a full queue stops the loop reading from that
+//! client, so a client that stops reading stalls only its own pipeline,
+//! never an unbounded buffer. See `eventloop.rs` for the ownership and
+//! wakeup story.
 //!
 //! Sessions (protocol v3): a `Hello` registers a session whose id rides in
 //! the `Welcome`. Answers to sessioned connections are recorded in a
@@ -23,19 +25,18 @@
 //!
 //! Drain protocol (see DESIGN.md §12 and §16): [`Service::shutdown`] flips
 //! the drain flag, pokes the listener, and then drains in two phases. In
-//! phase one every event loop stops admitting, drops its shard senders,
-//! and queues one `Draining` frame per live connection; the admin plane is
-//! woken by a level-triggered drain [`Signal`] and closes out. With the
-//! shards' request channels closed they answer everything already admitted
-//! and exit. Phase two tells the loops to close every connection as soon
-//! as its outbound queue has flushed and its in-flight answers have
-//! landed — so every admitted request gets its grant before the last
-//! socket closes.
+//! phase one every event loop stops reading, so it admits and forwards
+//! nothing more, and queues one `Draining` frame per live connection; the
+//! admin plane is woken by a level-triggered drain [`Signal`] and closes
+//! out. Phase two tells the loops to close every connection as soon as its
+//! outbound queue has flushed and its in-flight answers have landed; a
+//! loop exits only once its shards have answered every queued request —
+//! so every admitted request gets its grant before the last socket
+//! closes.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -51,7 +52,7 @@ use crate::clock::SlotClock;
 use crate::data::{ChannelInit, DataPlane};
 use crate::eventloop::LoopPool;
 use crate::session::{lock_unpoisoned, SessionRegistry};
-use crate::shard::{spawn_shard, RestartPolicy, ShardConfig, ShardMsg, ShardVideo};
+use crate::shard::{RestartPolicy, ShardConfig, ShardVideo, ShardWorker};
 use crate::stats::ServiceStats;
 use crate::telemetry::Telemetry;
 use crate::wire::FrameBuffer;
@@ -72,7 +73,9 @@ pub struct SvcConfig {
     /// Virtual-clock time dilation (1 = real time; 1000 runs a two-hour
     /// schedule in 7.2 s).
     pub dilation: u32,
-    /// Bounded per-shard request-queue depth (admission control).
+    /// Bounded per-shard request-queue depth (admission control): a
+    /// request finding this many already queued for its shard is answered
+    /// `Rejected(queue_full)`.
     pub queue_cap: usize,
     /// Bounded per-connection outbound frame-queue depth (write
     /// backpressure).
@@ -192,6 +195,8 @@ pub(crate) struct Shared {
     pub(crate) chaos: Arc<ChaosPlan>,
     pub(crate) replay_cap: usize,
     pub(crate) outbound_cap: usize,
+    /// Admission bound on each shard's queued requests.
+    pub(crate) queue_cap: usize,
     pub(crate) telemetry: Arc<Telemetry>,
     /// The broadcast data plane (channel rings, subscribers, segment
     /// store), shared by event loops (subscribe) and shards (publish).
@@ -214,8 +219,6 @@ pub struct Service {
     shared: Arc<Shared>,
     accept_handle: JoinHandle<()>,
     admin_handle: Option<JoinHandle<()>>,
-    shard_handles: Vec<JoinHandle<()>>,
-    shard_txs: Vec<SyncSender<ShardMsg>>,
     pool: Arc<LoopPool>,
 }
 
@@ -311,15 +314,12 @@ impl Service {
         let shard_down: Vec<Arc<AtomicBool>> = (0..shards)
             .map(|_| Arc::new(AtomicBool::new(false)))
             .collect();
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_handles = Vec::with_capacity(shards);
-        for (id, videos) in shard_videos.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(config.queue_cap.max(1));
-            shard_txs.push(tx);
-            shard_handles.push(spawn_shard(
-                ShardConfig {
+        let workers: Vec<ShardWorker> = shard_videos
+            .into_iter()
+            .enumerate()
+            .map(|(id, videos)| {
+                let shard = ShardConfig {
                     id,
-                    videos,
                     stats: Arc::clone(&stats),
                     min_service_time: config.min_service_time,
                     journal: config.journal.clone(),
@@ -328,10 +328,10 @@ impl Service {
                     data: Arc::clone(&data),
                     policy: policy.clone(),
                     down: Arc::clone(&shard_down[id]),
-                },
-                rx,
-            )?);
-        }
+                };
+                ShardWorker::new(shard, videos)
+            })
+            .collect();
 
         let shared = Arc::new(Shared {
             videos: config.catalog.len() as u32,
@@ -347,6 +347,7 @@ impl Service {
             chaos,
             replay_cap: config.replay_cap.max(1),
             outbound_cap: config.outbound_cap.max(8),
+            queue_cap: config.queue_cap.max(1),
             telemetry,
             data,
             drain_signal: Arc::new(Signal::new()?),
@@ -360,7 +361,7 @@ impl Service {
         } else {
             config.io_threads
         };
-        let pool = Arc::new(LoopPool::spawn(&shared, &shard_txs, io_threads)?);
+        let pool = Arc::new(LoopPool::spawn(&shared, workers, io_threads)?);
 
         let accept_shared = Arc::clone(&shared);
         let accept_pool = Arc::clone(&pool);
@@ -387,8 +388,6 @@ impl Service {
             shared,
             accept_handle,
             admin_handle,
-            shard_handles,
-            shard_txs,
             pool,
         })
     }
@@ -419,8 +418,9 @@ impl Service {
         // Unblock `accept` so the accept thread notices the flag.
         let _ = TcpStream::connect(self.addr);
         let _ = self.accept_handle.join();
-        // Drain phase one: every loop stops admitting, drops its shard
-        // senders, and queues a `Draining` frame per live connection.
+        // Drain phase one: every loop stops reading (admitting and
+        // forwarding nothing more) and queues a `Draining` frame per live
+        // connection. Shards keep answering what was admitted.
         self.pool.begin_drain();
         // The admin plane wakes on the drain signal (no poll interval to
         // wait out); poke its listener too so `accept` returns.
@@ -434,18 +434,12 @@ impl Service {
         for handle in take_handles(&self.shared.admins) {
             let _ = handle.join();
         }
-        // With every request-side sender gone the shards drain their queues
-        // (answering what was admitted) and exit. Every in-flight answer
-        // lands in its connection's outbound queue before the join returns.
-        drop(self.shard_txs);
-        for handle in self.shard_handles {
-            let _ = handle.join();
-        }
         // Session rings hold connection senders; drop them so the queues
-        // are referenced only by their connections.
+        // are referenced only by their connections (queued requests hold
+        // their own session handles).
         self.shared.sessions.clear();
-        // Drain phase two: loops flush every queue, close every socket,
-        // and exit.
+        // Drain phase two: loops answer every queued request, flush every
+        // queue, close every socket, and exit.
         self.pool.finish();
         let stats = &self.shared.stats;
         let summary = DrainSummary {

@@ -11,11 +11,11 @@
 //!
 //! Two invariants make resume loss-free without double delivery:
 //!
-//! 1. **Delivery and resume serialize on the delivery lock.** A shard
-//!    delivering a grant and a loop adopting the session cannot
-//!    interleave: an answer lands either before the swap (recorded, so it
-//!    is replayed) or after (sent directly on the new queue), never both
-//!    and never neither.
+//! 1. **Delivery and resume serialize on the session lock.** A shard
+//!    delivering a grant (on whichever loop owns the shard) and a loop
+//!    adopting the session cannot interleave: an answer lands either
+//!    before the swap (recorded, so it is replayed) or after (sent
+//!    directly on the new queue), never both and never neither.
 //! 2. **Admission dedupes on the processed watermark.** A client that
 //!    re-sends requests after reconnecting gets the recorded answer
 //!    re-sent if it is still in the ring, or silence if the original is
@@ -25,19 +25,14 @@
 //!
 //! # Lock discipline
 //!
-//! The session splits its state across two mutexes, acquired strictly in
-//! the order `delivery` → `inner`, and **no session lock is ever held
-//! across a blocking operation**. Backpressure — a shard waiting for room
-//! in a full outbound queue — happens in [`ConnSender::wait_room`]
-//! *before* [`Session::deliver`] takes the delivery lock; every send made
-//! while a session lock is held goes through the never-blocking
-//! [`ConnSender::send_now`]. This is what keeps the event loop deadlock
-//! free: the loop thread takes the delivery lock too (loop-side
-//! rejections, resume, resend-on-readmit), and the loop is the only
-//! thread that can free room in an outbound queue. If a shard could hold
-//! the delivery lock while waiting on that room, the loop would block on
-//! the lock behind the very queue only it can drain — a circular wait
-//! wedging the loop, every connection it owns, and shutdown.
+//! One mutex guards the session, and it is held across the queue push
+//! that delivers, resends, or replays an answer: every caller is an
+//! event-loop thread and [`ConnSender::send`] never blocks, so the lock is
+//! held only for a ring update and a push. Two loops can still meet on one
+//! session (a shard on loop A answering a connection on loop B while B
+//! admits or resumes on it), which is what the lock serializes. The only
+//! lock taken under it is the outbound queue's (and, through the wakeup,
+//! the loop inbox's); neither is ever held while taking a session lock.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -81,15 +76,11 @@ struct Inner {
 }
 
 /// One resumable client session. Shared between the owning connection's
-/// event loop, the shard workers delivering answers, and (after a
+/// event loop, the loops whose shards deliver its answers, and (after a
 /// reconnect) the adopting connection.
 pub(crate) struct Session {
     id: u64,
-    /// Serializes deliveries, resumes, and recorded-answer resends.
-    /// Lock order: `delivery` before `inner`, never the reverse; never
-    /// held across anything that can block (sends under it must use
-    /// [`ConnSender::send_now`]) — loop threads take it too.
-    delivery: Mutex<()>,
+    /// Also serializes deliveries, resumes, and recorded-answer resends.
     inner: Mutex<Inner>,
 }
 
@@ -97,7 +88,6 @@ impl Session {
     pub(crate) fn new(id: u64, tx: ConnSender, cap: usize) -> Self {
         Session {
             id,
-            delivery: Mutex::new(()),
             inner: Mutex::new(Inner {
                 tx,
                 ring: VecDeque::new(),
@@ -126,39 +116,30 @@ impl Session {
 
     /// Admit request `seq`, deduplicating re-sends after a reconnect.
     ///
-    /// Runs under the delivery lock so a recorded-answer resend
-    /// serializes with [`Session::resume`]: the resend goes to whichever
-    /// connection owns the session *now*, never a queue a racing resume
-    /// just swapped out (which would strand the answer on a dead socket).
-    /// Safe on the loop thread — the delivery lock is never held across a
-    /// blocking operation, and the resend itself uses the non-blocking
-    /// [`ConnSender::send_now`].
+    /// The resend happens under the session lock, so it serializes with
+    /// [`Session::resume`]: it goes to whichever connection owns the
+    /// session *now*, never a queue a racing resume just swapped out
+    /// (which would strand the answer on a dead socket).
     pub(crate) fn admit(&self, seq: u64) -> Admit {
-        let _serial = lock_unpoisoned(&self.delivery);
-        let resend = {
-            let mut inner = lock_unpoisoned(&self.inner);
-            if seq >= inner.processed {
-                inner.processed = seq + 1;
-                return Admit::Fresh;
+        let mut inner = lock_unpoisoned(&self.inner);
+        if seq >= inner.processed {
+            inner.processed = seq + 1;
+            return Admit::Fresh;
+        }
+        match inner.ring.iter().find(|(s, _)| *s == seq) {
+            // Re-send the recorded answer without re-recording it. Replays
+            // travel span-less: the span measured the original delivery.
+            Some((_, answer)) => {
+                inner.tx.send(Outbound::plain(answer.clone()));
+                Admit::Resent
             }
-            match inner.ring.iter().find(|(s, _)| *s == seq) {
-                // Re-send the recorded answer without re-recording it.
-                // Replays travel span-less: the span measured the original
-                // delivery.
-                Some((_, answer)) => (answer.clone(), inner.tx.clone()),
-                None if seq < inner.evicted_below => {
-                    // The answer aged out of the ring; reschedule rather
-                    // than leave the client waiting forever. The fresh
-                    // answer may differ from the lost original — liveness
-                    // over identity once the replay bound is exceeded.
-                    return Admit::Fresh;
-                }
-                None => return Admit::InFlight,
-            }
-        };
-        let (frame, tx) = resend;
-        tx.send_now(Outbound::plain(frame));
-        Admit::Resent
+            // The answer aged out of the ring; reschedule rather than
+            // leave the client waiting forever. The fresh answer may differ
+            // from the lost original — liveness over identity once the
+            // replay bound is exceeded.
+            None if seq < inner.evicted_below => Admit::Fresh,
+            None => Admit::InFlight,
+        }
     }
 
     /// Record answer `frame` for request `seq` and deliver it on the
@@ -167,29 +148,14 @@ impl Session {
     /// rides the live delivery only; the ring stores the bare frame so
     /// replays stay byte-identical without re-measuring.
     pub(crate) fn deliver(&self, seq: u64, frame: Frame, span: Option<SpanCarrier>) {
-        // Backpressure first, with no session lock held: a producer
-        // (shard) blocks here until the current connection's queue has
-        // room. The wait is released by the owning loop's flush, and the
-        // loop takes the delivery lock, so waiting while holding it would
-        // deadlock the loop (no-op on loop threads and closed queues).
-        let room_on = lock_unpoisoned(&self.inner).tx.clone();
-        room_on.wait_room();
-        let _serial = lock_unpoisoned(&self.delivery);
-        let tx = {
-            let mut inner = lock_unpoisoned(&self.inner);
-            if inner.ring.len() == inner.cap {
-                if let Some((evicted, _)) = inner.ring.pop_front() {
-                    inner.evicted_below = inner.evicted_below.max(evicted + 1);
-                }
+        let mut inner = lock_unpoisoned(&self.inner);
+        if inner.ring.len() == inner.cap {
+            if let Some((evicted, _)) = inner.ring.pop_front() {
+                inner.evicted_below = inner.evicted_below.max(evicted + 1);
             }
-            inner.ring.push_back((seq, frame.clone()));
-            inner.tx.clone()
-        };
-        // Non-blocking by contract while the delivery lock is held. A
-        // resume may have swapped queues after the room wait; pushing a
-        // frame past the new queue's cap is benign (the loop's read
-        // throttle bounds sustained growth).
-        tx.send_now(Outbound { frame, span });
+        }
+        inner.ring.push_back((seq, frame.clone()));
+        inner.tx.send(Outbound { frame, span });
     }
 
     /// Adopt this session onto a new connection: swap the outbound
@@ -197,27 +163,24 @@ impl Session {
     /// with `seq > last_seq_seen` ([`RESUME_NONE`] replays everything) in
     /// original delivery order. Returns the number of frames replayed.
     pub(crate) fn resume(&self, tx: ConnSender, last_seq_seen: u64) -> u64 {
-        let _serial = lock_unpoisoned(&self.delivery);
-        let replay: Vec<Frame> = {
-            let mut inner = lock_unpoisoned(&self.inner);
-            inner.tx = tx.clone();
-            inner
-                .ring
-                .iter()
-                .filter(|(seq, _)| last_seq_seen == RESUME_NONE || *seq > last_seq_seen)
-                .map(|(_, frame)| frame.clone())
-                .collect()
-        };
+        // Replays must not interleave with fresh deliveries, so they go
+        // out under the session lock.
+        let mut inner = lock_unpoisoned(&self.inner);
+        inner.tx = tx;
+        let inner = &*inner;
+        let replay: Vec<&Frame> = inner
+            .ring
+            .iter()
+            .filter(|(seq, _)| last_seq_seen == RESUME_NONE || *seq > last_seq_seen)
+            .map(|(_, frame)| frame)
+            .collect();
         let replayed = replay.len() as u64;
-        // Non-blocking sends: the delivery lock is held (replays must not
-        // interleave with fresh deliveries), and resume runs on the loop
-        // thread that owns the adopting connection's queue.
-        tx.send_now(Outbound::plain(Frame::Resumed {
+        inner.tx.send(Outbound::plain(Frame::Resumed {
             session: self.id,
             replayed: u32::try_from(replayed).unwrap_or(u32::MAX),
         }));
         for frame in replay {
-            tx.send_now(Outbound::plain(frame));
+            inner.tx.send(Outbound::plain(frame.clone()));
         }
         replayed
     }
@@ -242,8 +205,8 @@ impl SessionRegistry {
         lock_unpoisoned(&self.sessions).remove(&id);
     }
 
-    /// Drop every session. Called during shutdown after the shards have
-    /// drained, so the senders held by session rings release their
+    /// Drop every session. Called during shutdown once admission has
+    /// stopped, so the senders held by session rings release their
     /// connections' outbound queues.
     pub(crate) fn clear(&self) {
         lock_unpoisoned(&self.sessions).clear();

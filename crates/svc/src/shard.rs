@@ -1,30 +1,37 @@
-//! Supervised scheduler shard workers.
+//! Supervised scheduler shards, run inline on the event loops.
 //!
-//! Each shard thread owns the schedulers of the videos routed to it
-//! (`video % shards`), so no scheduler is ever shared between threads and
-//! shard-local scheduling needs no locks. The schedulers are
-//! protocol-generic [`SlotScheduler`] trait objects built by the serving
-//! catalog — fixed-rate DHB, dynamic-NPB grants, and DHB-d period vectors
-//! all run through the same loop. Requests arrive over a **bounded**
-//! `sync_channel` — the admission-control queue whose `try_send` failure is
-//! surfaced to clients as `Rejected(queue_full)`.
+//! Shard `s` owns the schedulers of the videos routed to it (`video %
+//! shards == s`) and lives on event loop `s % io_threads` as a
+//! [`ShardWorker`], so no scheduler is ever shared between threads. The
+//! loop appends admitted requests to the shard's FIFO (requests read on
+//! another loop arrive through its inbox) and runs the FIFO after each
+//! event batch: a grant is decoded, scheduled, encoded and written on one
+//! thread. The schedulers are protocol-generic [`SlotScheduler`] trait
+//! objects built by the serving catalog — fixed-rate DHB, dynamic-NPB
+//! grants, and DHB-d period vectors all run through the same code.
+//! Admission is bounded by the shard's `queue_depth` gauge (`queue_cap`);
+//! the overflow is answered `Rejected(queue_full)`.
 //!
 //! # Supervision
 //!
 //! Scheduling runs inside `catch_unwind`, so a panicking scheduler (or an
-//! injected chaos panic) never takes its thread down. The supervisor keeps
+//! injected chaos panic) never takes its loop down. The supervisor keeps
 //! a compact **state journal** per shard — every scheduled `(video,
 //! arrival)` pair in order, plus each video's ring cursor — and on panic
 //! it rebuilds fresh schedulers from the catalog entries and replays the
 //! journal, resuming on the *same* [`SlotClock`] so virtual time never
-//! jumps. Restarts back off exponentially (capped) and are counted; once
+//! jumps. Restarts back off exponentially (capped) and are counted; the
+//! backoff never sleeps the loop — the shard leaves its FIFO queued until
+//! the backoff instant, which the loop folds into its poll timeout. Once
 //! the restart budget is spent the shard flips its `down` flag and every
 //! request routed to it is shed as `Rejected(shard_down)` instead of
 //! hanging. The journal is bounded: while history fits the cap a rebuild
 //! is *exact* (byte-identical grants afterwards); past the cap the oldest
 //! entries are dropped (counted in `svc.shard.journal_truncated`) and the
 //! rebuilt schedule is approximate but still deadline-clean — the
-//! timeliness audit keeps running either way.
+//! timeliness audit keeps running either way. Delivery never blocks: an
+//! answer is pushed onto the connection's outbound queue and its loop is
+//! woken to flush it.
 //!
 //! Determinism: a request carries either an explicit arrival slot or the
 //! [`ARRIVAL_AUTO`](crate::wire::ARRIVAL_AUTO) sentinel resolved against the
@@ -35,7 +42,8 @@
 //! offline engines do (pop every earlier slot), then calls
 //! `schedule_request` — so for a fixed arrival-slot sequence the grants are
 //! byte-identical to an offline run, regardless of wall-clock timing, shard
-//! count, dilation, or how many supervised restarts happened in between.
+//! count, loop count, dilation, or how many supervised restarts happened in
+//! between.
 //!
 //! Every grant is audited on the way out: each instance must land in the
 //! window `arrival < slot ≤ arrival + T[j]`. Violations increment
@@ -44,13 +52,10 @@
 //! smokes assert stays zero.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dhb_core::SlotScheduler;
 use vod_obs::{Event, Journal, RejectKind};
@@ -82,10 +87,9 @@ pub(crate) enum ReplyTo {
 }
 
 impl ReplyTo {
-    /// Blocking delivery: the outbound queue is bounded, so a slow client
-    /// backpressures its shard instead of buffering without limit. A
-    /// vanished connection is fine — a closed queue discards sends, and a
-    /// session keeps the answer in its ring for replay after resume.
+    /// Never blocks. A vanished connection is fine — a closed queue
+    /// discards sends, and a session keeps the answer in its ring for
+    /// replay after resume.
     fn deliver(&self, seq: u64, frame: Frame, span: Option<SpanCarrier>) {
         match self {
             ReplyTo::Direct(tx) => {
@@ -100,23 +104,23 @@ impl ReplyTo {
     }
 }
 
-/// A unit of work queued to a shard.
-pub(crate) enum ShardMsg {
-    /// An admitted client request, with the reply route to answer on.
-    Request {
-        /// The submitting connection (journaled with shard-side sheds).
-        conn: u64,
-        /// Echoed sequence number.
-        seq: u64,
-        /// Target video (pre-validated by the reader).
-        video: u32,
-        /// Explicit arrival slot or [`ARRIVAL_AUTO`].
-        arrival_slot: u64,
-        /// The owning connection's reply route.
-        reply: ReplyTo,
-        /// The request's lifecycle span, minted by the reader at decode.
-        span: Option<SpanStart>,
-    },
+/// An admitted client request on its way to the shard that owns its
+/// video.
+pub(crate) struct ShardRequest {
+    /// The owning shard (`video % shards`).
+    pub shard: usize,
+    /// The submitting connection (journaled with shard-side sheds).
+    pub conn: u64,
+    /// Echoed sequence number.
+    pub seq: u64,
+    /// Target video (pre-validated by the reader).
+    pub video: u32,
+    /// Explicit arrival slot or [`ARRIVAL_AUTO`].
+    pub arrival_slot: u64,
+    /// The owning connection's reply route.
+    pub reply: ReplyTo,
+    /// The request's lifecycle span, minted by the reader at decode.
+    pub span: Option<SpanStart>,
 }
 
 /// One video owned by a shard: its scheduler, the catalog entry it was
@@ -144,10 +148,10 @@ pub(crate) struct RestartPolicy {
 
 pub(crate) struct ShardConfig {
     pub id: usize,
-    pub videos: Vec<ShardVideo>,
     pub stats: Arc<ServiceStats>,
     /// Test knob: minimum time spent per request, to make overload and
-    /// drain scenarios deterministic in tests. Zero in production.
+    /// drain scenarios deterministic in tests. Zero in production. Paced
+    /// like the restart backoff, so it never sleeps the loop.
     pub min_service_time: Duration,
     pub journal: Journal,
     pub chaos: Arc<ChaosPlan>,
@@ -161,13 +165,168 @@ pub(crate) struct ShardConfig {
     pub down: Arc<AtomicBool>,
 }
 
-pub(crate) fn spawn_shard(
+/// A request the shard has taken off its FIFO but not yet answered.
+struct Job {
+    req: ShardRequest,
+    span: Option<PendingSpan>,
+    /// Panics this request has caused so far.
+    attempts: u32,
+}
+
+/// One supervised shard, owned and run by a single event loop.
+pub(crate) struct ShardWorker {
     config: ShardConfig,
-    rx: Receiver<ShardMsg>,
-) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(format!("vod-svc-shard-{}", config.id))
-        .spawn(move || run_shard(config, &rx))
+    videos: HashMap<u32, ShardVideo>,
+    state: StateJournal,
+    restarts: u32,
+    /// Admitted requests in arrival order; their count is the shard's
+    /// `queue_depth` gauge, which bounds admission.
+    fifo: VecDeque<ShardRequest>,
+    /// The request in service: waiting out `min_service_time`, or to be
+    /// retried after a restart.
+    current: Option<Job>,
+    /// The shard serves nothing before this instant: a restart backoff or
+    /// the service-time pacing. The loop folds it into its poll timeout.
+    not_before: Option<Instant>,
+}
+
+impl ShardWorker {
+    pub(crate) fn new(config: ShardConfig, videos: Vec<ShardVideo>) -> ShardWorker {
+        let state = StateJournal::new(config.policy.journal_cap);
+        ShardWorker {
+            config,
+            videos: videos.into_iter().map(|v| (v.id, v)).collect(),
+            state,
+            restarts: 0,
+            fifo: VecDeque::new(),
+            current: None,
+            not_before: None,
+        }
+    }
+
+    /// Queues an admitted request (its `queue_depth` slot is already
+    /// taken).
+    pub(crate) fn enqueue(&mut self, req: ShardRequest) {
+        self.fifo.push_back(req);
+    }
+
+    /// No request queued or in service.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.fifo.is_empty() && self.current.is_none()
+    }
+
+    /// When [`ShardWorker::run`] next has work it is waiting to do, if it
+    /// is waiting at all.
+    pub(crate) fn wake_at(&self) -> Option<Instant> {
+        self.not_before.filter(|_| !self.is_idle())
+    }
+
+    /// Serves queued requests until the FIFO is empty or the shard must
+    /// wait (a restart backoff or service-time pacing).
+    pub(crate) fn run(&mut self) {
+        loop {
+            if self.not_before.is_some_and(|until| Instant::now() < until) {
+                return;
+            }
+            self.not_before = None;
+            if let Some(job) = self.current.take() {
+                self.serve(job);
+                continue;
+            }
+            let Some(req) = self.fifo.pop_front() else {
+                return;
+            };
+            // The admission-wait stage ends here: the request left the queue
+            // and the schedule stage begins.
+            let (id, telemetry) = (self.config.id, &self.config.telemetry);
+            telemetry.queue_leave(id);
+            let job = Job {
+                span: req
+                    .span
+                    .map(|start| PendingSpan::begin(Arc::clone(telemetry), start, id as u32)),
+                req,
+                attempts: 0,
+            };
+            if self.config.down.load(Ordering::Acquire) {
+                self.shed(&job.req);
+            } else if self.config.min_service_time.is_zero() {
+                self.serve(job);
+            } else {
+                self.not_before = Some(Instant::now() + self.config.min_service_time);
+                self.current = Some(job);
+            }
+        }
+    }
+
+    /// Schedules and answers one request under `catch_unwind`. A panic
+    /// rebuilds the schedulers at once and parks the request for one retry
+    /// after the restart backoff.
+    fn serve(&mut self, mut job: Job) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            handle_request(
+                &self.config,
+                &mut self.videos,
+                &mut self.state,
+                &job.req,
+                &mut job.span,
+            );
+        }));
+        if outcome.is_ok() {
+            return;
+        }
+        let config = &self.config;
+        job.attempts += 1;
+        self.restarts += 1;
+        config.stats.shard_panics.fetch_add(1, Ordering::Relaxed);
+        config.telemetry.note_restarts(config.id, self.restarts);
+        let shard = config.id as u64;
+        let restarts = u64::from(self.restarts);
+        config
+            .journal
+            .emit_with(|| Event::ShardPanicked { shard, restarts });
+        if self.restarts > config.policy.max_restarts {
+            config.down.store(true, Ordering::Release);
+            config.stats.shards_down.fetch_add(1, Ordering::Relaxed);
+            config.journal.emit_with(|| Event::ShardDisabled { shard });
+            self.shed(&job.req);
+            return;
+        }
+        let backoff = backoff_for(self.restarts, &config.policy);
+        let replayed = rebuild(&mut self.videos, &self.state);
+        config.stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
+        config.journal.emit_with(|| Event::ShardRestarted {
+            shard,
+            replayed,
+            backoff_ms: u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX),
+        });
+        self.not_before = Some(Instant::now() + backoff);
+        if job.attempts > 1 {
+            // The same request panicked again after a clean rebuild: shed
+            // it and keep the shard alive for everyone else.
+            self.shed(&job.req);
+        } else {
+            self.current = Some(job);
+        }
+    }
+
+    /// Answers a request the shard cannot serve with `Rejected(shard_down)`.
+    fn shed(&self, req: &ShardRequest) {
+        let config = &self.config;
+        config.stats.count_rejection(RejectKind::ShardDown);
+        config.journal.emit_with(|| Event::RequestRejected {
+            conn: req.conn,
+            request: req.seq,
+            reason: RejectKind::ShardDown,
+        });
+        req.reply.deliver(
+            req.seq,
+            Frame::Rejected {
+                seq: req.seq,
+                reason: RejectKind::ShardDown,
+            },
+            None,
+        );
+    }
 }
 
 /// The compact per-shard state journal a supervisor rebuild replays:
@@ -204,123 +363,20 @@ impl StateJournal {
     }
 }
 
-fn run_shard(mut config: ShardConfig, rx: &Receiver<ShardMsg>) {
-    let mut videos: HashMap<u32, ShardVideo> = std::mem::take(&mut config.videos)
-        .into_iter()
-        .map(|v| (v.id, v))
-        .collect();
-    let config = &config;
-    let mut state = StateJournal::new(config.policy.journal_cap);
-    let mut restarts: u32 = 0;
-
-    // `recv` drains every queued message even after all senders drop, so a
-    // graceful shutdown still answers admitted requests.
-    while let Ok(msg) = rx.recv() {
-        let ShardMsg::Request {
-            conn,
-            seq,
-            video,
-            arrival_slot,
-            reply,
-            span,
-        } = msg;
-        // The admission-wait stage ends here: the request left the bounded
-        // queue and the schedule stage begins.
-        config.telemetry.queue_leave(config.id);
-        let mut pending = span.map(|start| {
-            PendingSpan::begin(Arc::clone(&config.telemetry), start, config.id as u32)
-        });
-        if config.down.load(Ordering::Acquire) {
-            shed(config, conn, seq, &reply);
-            continue;
-        }
-        if !config.min_service_time.is_zero() {
-            std::thread::sleep(config.min_service_time);
-        }
-        let mut attempts = 0u32;
-        loop {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                handle_request(
-                    config,
-                    &mut videos,
-                    &mut state,
-                    seq,
-                    video,
-                    arrival_slot,
-                    &reply,
-                    &mut pending,
-                );
-            }));
-            match outcome {
-                Ok(()) => break,
-                Err(_panic) => {
-                    attempts += 1;
-                    restarts += 1;
-                    config.stats.shard_panics.fetch_add(1, Ordering::Relaxed);
-                    config.telemetry.note_restarts(config.id, restarts);
-                    let shard = config.id as u64;
-                    config.journal.emit_with(|| Event::ShardPanicked {
-                        shard,
-                        restarts: u64::from(restarts),
-                    });
-                    if restarts > config.policy.max_restarts {
-                        config.down.store(true, Ordering::Release);
-                        config.stats.shards_down.fetch_add(1, Ordering::Relaxed);
-                        config.journal.emit_with(|| Event::ShardDisabled { shard });
-                        shed(config, conn, seq, &reply);
-                        break;
-                    }
-                    let backoff = backoff_for(restarts, &config.policy);
-                    std::thread::sleep(backoff);
-                    let replayed = rebuild(&mut videos, &state);
-                    config.stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
-                    config.journal.emit_with(|| Event::ShardRestarted {
-                        shard,
-                        replayed,
-                        backoff_ms: u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX),
-                    });
-                    if attempts > 1 {
-                        // The same request keeps panicking after a clean
-                        // rebuild: shed it and keep the shard alive for
-                        // everyone else.
-                        shed(config, conn, seq, &reply);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Answers a request the shard cannot serve with `Rejected(shard_down)`.
-fn shed(config: &ShardConfig, conn: u64, seq: u64, reply: &ReplyTo) {
-    config.stats.count_rejection(RejectKind::ShardDown);
-    config.journal.emit_with(|| Event::RequestRejected {
-        conn,
-        request: seq,
-        reason: RejectKind::ShardDown,
-    });
-    reply.deliver(
-        seq,
-        Frame::Rejected {
-            seq,
-            reason: RejectKind::ShardDown,
-        },
-        None,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
 fn handle_request(
     config: &ShardConfig,
     videos: &mut HashMap<u32, ShardVideo>,
     state: &mut StateJournal,
-    seq: u64,
-    video: u32,
-    arrival_slot: u64,
-    reply: &ReplyTo,
+    req: &ShardRequest,
     pending: &mut Option<PendingSpan>,
 ) {
+    let &ShardRequest {
+        seq,
+        video,
+        arrival_slot,
+        ref reply,
+        ..
+    } = req;
     let stats = &config.stats;
     let Some(owned) = videos.get_mut(&video) else {
         // The reader validates ids against the catalog, so this is only

@@ -56,7 +56,8 @@ pub(crate) struct Telemetry {
     origin: Instant,
     next_span: AtomicU64,
     spans: Mutex<SpanSink>,
-    /// Requests sitting in each shard's admission queue right now.
+    /// Requests sitting in each shard's admission queue right now, bounded
+    /// by `queue_cap`.
     queue_depth: Vec<AtomicU64>,
     /// Latest observed scheduling lag per shard: how many slots the shard's
     /// virtual clock had already advanced past the arrival it was serving.
@@ -103,8 +104,13 @@ impl Telemetry {
         self.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
-    pub(crate) fn queue_enter(&self, shard: usize) {
-        self.queue_depth[shard % self.queue_depth.len()].fetch_add(1, Ordering::Relaxed);
+    /// Takes one of `shard`'s `cap` queue places; false when all are taken.
+    pub(crate) fn queue_enter(&self, shard: usize, cap: usize) -> bool {
+        self.queue_depth[shard % self.queue_depth.len()]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                (d < cap as u64).then_some(d + 1)
+            })
+            .is_ok()
     }
 
     pub(crate) fn queue_leave(&self, shard: usize) {
@@ -189,7 +195,7 @@ impl Telemetry {
 
 /// Span state minted by the reader when it admits a request: the id, the
 /// decode-start instant (span origin), and the measured decode duration.
-/// Rides inside `ShardMsg::Request`.
+/// Rides inside `ShardRequest`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanStart {
     pub id: u64,
@@ -323,7 +329,8 @@ mod tests {
         let t = Telemetry::new(2, 64, 3);
         let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
-        t.queue_enter(1);
+        assert!(t.queue_enter(1, 1));
+        assert!(!t.queue_enter(1, 1), "the cap bounds the depth");
         t.note_clock_lag(0, 2);
         t.note_restarts(1, 1);
         t.record_span(0, 1, &[10, 20, 30, 40, 50], 200);
@@ -381,7 +388,7 @@ mod tests {
     fn queue_depth_never_underflows() {
         let t = Telemetry::new(1, 16, 0);
         t.queue_leave(0);
-        t.queue_enter(0);
+        assert!(t.queue_enter(0, 4));
         t.queue_leave(0);
         t.queue_leave(0);
         let stats = ServiceStats::default();

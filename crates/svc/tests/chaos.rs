@@ -426,3 +426,96 @@ fn fixed_seed_reproduces_the_supervision_journal() {
     );
     assert_eq!(first_resumes, second_resumes);
 }
+
+#[test]
+fn restart_backoff_does_not_stall_the_loops_other_shard() {
+    // Two shards on one event loop. Shard 0 panics on its first request and
+    // backs off for a second; the backoff must not sleep the loop, so a
+    // request for shard 1 sent right after the kill is granted well inside
+    // it, and the killed request is answered once, after the backoff, with
+    // the grant a fresh offline scheduler gives.
+    let backoff = Duration::from_secs(1);
+    let journal = Journal::enabled();
+    let service = Service::start(
+        "127.0.0.1:0",
+        &SvcConfig {
+            catalog: ServeCatalog::uniform(2, small_video()),
+            shards: 2,
+            io_threads: 1,
+            dilation: 1_000,
+            journal: journal.clone(),
+            restart_backoff: backoff,
+            chaos: ChaosPlan::none().with_shard_kill(0, 0),
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    let stats = service.stats().clone();
+    let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+
+    let killed_at = Instant::now();
+    write_frame(
+        &mut stream,
+        &Frame::Request {
+            seq: 0,
+            video: 0,
+            arrival_slot: 0,
+        },
+    )
+    .expect("write killed request");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while stats.shard_panics.load(Ordering::Relaxed) < 1 {
+        assert!(Instant::now() < deadline, "planned kill never fired");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let sent = Instant::now();
+    write_frame(
+        &mut stream,
+        &Frame::Request {
+            seq: 1,
+            video: 1,
+            arrival_slot: 0,
+        },
+    )
+    .expect("write neighbour request");
+
+    let expected = oracle(small_video(), 1);
+    let mut answers = [0u32; 2];
+    while answers.iter().sum::<u32>() < 2 {
+        match read_frame(&mut stream).expect("read frame") {
+            Some(Frame::Grant { seq, segments, .. }) => {
+                answers[seq as usize] += 1;
+                assert_eq!(segments, expected[0], "seq {seq} grant");
+                if seq == 1 {
+                    assert!(
+                        sent.elapsed() < backoff / 2,
+                        "shard 1 waited {:?} behind shard 0's {backoff:?} backoff",
+                        sent.elapsed()
+                    );
+                    assert_eq!(answers[0], 0, "killed request answered inside its backoff");
+                } else {
+                    assert!(
+                        killed_at.elapsed() >= backoff,
+                        "answered before the backoff"
+                    );
+                }
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+
+    let summary = service.shutdown();
+    while let Some(frame) = read_frame(&mut stream).expect("read to EOF") {
+        match frame {
+            Frame::Draining => {}
+            other => panic!("unexpected frame after both answers: {other:?}"),
+        }
+    }
+    assert_eq!(answers, [1, 1], "each request answered exactly once");
+    assert_eq!(summary.grants, 2);
+    assert_eq!(journal.count_of(EventKind::ShardPanicked), 1);
+    assert_eq!(journal.count_of(EventKind::ShardRestarted), 1);
+}

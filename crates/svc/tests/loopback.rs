@@ -716,3 +716,136 @@ fn shutdown_completes_when_a_live_peer_stops_reading() {
     assert_eq!(summary.conns, 1);
     drop(stream);
 }
+
+#[test]
+fn grants_match_the_offline_oracle_on_every_route() {
+    // Shard s runs on event loop s % io_threads, and connections land on
+    // the loops round robin. With one loop every request is scheduled
+    // inline on the loop that read it; with two loops and one shard, the
+    // four connections on loop 1 reach shard 0 through loop 0's inbox
+    // whatever the accept order; the other shapes mix both routes. The
+    // route must never change a grant.
+    let video = small_video();
+    let conns = 8usize;
+    let requests_per_conn = 12u64;
+    let catalog = ServeCatalog::uniform(conns as u32, video);
+    let arrivals: Vec<u64> = (0..requests_per_conn).collect();
+    for io_threads in [1, 2] {
+        for shards in [1, 2, 4] {
+            let service = Service::start(
+                "127.0.0.1:0",
+                &SvcConfig {
+                    catalog: catalog.clone(),
+                    shards,
+                    io_threads,
+                    dilation: 1_000,
+                    ..SvcConfig::default()
+                },
+            )
+            .expect("service starts");
+            let report = run_load(
+                service.local_addr(),
+                &LoadConfig {
+                    conns,
+                    requests_per_conn,
+                    videos: conns as u32,
+                    window: 4,
+                    arrival_stride: Some(1),
+                    collect_grants: true,
+                    ..LoadConfig::default()
+                },
+            )
+            .expect("load run succeeds");
+            let total = conns as u64 * requests_per_conn;
+            let shape = format!("io_threads {io_threads} shards {shards}");
+            assert_eq!(report.grants, total, "{shape}: {}", report.render());
+            assert_eq!(report.protocol_errors, 0, "{shape}: {}", report.render());
+            // Connection c drives video c alone, so each sees the fresh
+            // scheduler sequence of its own catalog entry.
+            for (conn, grants) in report.grants_by_conn.iter().enumerate() {
+                let video = report.videos_by_conn[conn] as usize;
+                let expected = offline_grants_for(&catalog.entries()[video], &arrivals);
+                assert_eq!(grants.len(), arrivals.len(), "{shape} conn {conn}");
+                for (i, grant) in grants.iter().enumerate() {
+                    assert_eq!(
+                        grant.segments, expected[i],
+                        "{shape} conn {conn} request {i}: grant differs from the oracle"
+                    );
+                }
+            }
+            let summary = service.shutdown();
+            assert_eq!(summary.grants, total, "{shape}");
+        }
+    }
+}
+
+#[test]
+fn drain_answers_requests_forwarded_from_another_loop() {
+    // Two loops, one slow shard on loop 0. The first connection takes loop
+    // 0 and stays idle; the second lands on loop 1, so every request it
+    // sends crosses to loop 0's inbox. Shutting down mid-backlog must still
+    // answer each admitted request exactly once before EOF: loop 0 has no
+    // connection of its own left to keep it alive, only queued work.
+    let admitted = 24u64;
+    let service = Service::start(
+        "127.0.0.1:0",
+        &SvcConfig {
+            catalog: ServeCatalog::uniform(1, small_video()),
+            shards: 1,
+            io_threads: 2,
+            dilation: 1_000,
+            min_service_time: Duration::from_millis(5),
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    let stats = service.stats().clone();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let idle = TcpStream::connect(service.local_addr()).expect("connect idle");
+    while stats.conns.load(Ordering::Relaxed) < 1 {
+        assert!(Instant::now() < deadline, "first connection never accepted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    for seq in 0..admitted {
+        write_frame(
+            &mut stream,
+            &Frame::Request {
+                seq,
+                video: 0,
+                arrival_slot: seq,
+            },
+        )
+        .expect("write");
+    }
+    while stats.requests.load(Ordering::Relaxed) < admitted {
+        assert!(Instant::now() < deadline, "requests never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        stats.grants.load(Ordering::Relaxed) < admitted,
+        "the backlog must still be queued when the drain starts"
+    );
+
+    let shutdown = std::thread::spawn(move || service.shutdown());
+    let mut answers = vec![0u32; admitted as usize];
+    loop {
+        match read_frame(&mut stream).expect("read frame") {
+            Some(Frame::Grant { seq, .. }) => answers[seq as usize] += 1,
+            Some(Frame::Draining) => {}
+            Some(other) => panic!("unexpected frame during drain: {other:?}"),
+            None => break,
+        }
+    }
+    assert_eq!(
+        answers,
+        vec![1; admitted as usize],
+        "a drain must answer each forwarded request exactly once"
+    );
+    let summary = shutdown.join().expect("shutdown thread");
+    assert_eq!(summary.grants, admitted);
+    drop(idle);
+}

@@ -12,6 +12,12 @@
 //! vodload --chaos 42 --dilation 1000 --conns 4 --requests 150 --retries 5
 //! ```
 //!
+//! A `--self-host` run also reports what each grant cost the service's
+//! own threads (`vod-svc-*`): user and system CPU microseconds and
+//! voluntary and involuntary context switches per grant, read from each
+//! thread's `/proc/self/task/*/stat` and `status` before and after the
+//! load.
+//!
 //! `--chaos SEED` self-hosts a service with a deterministic fault plan
 //! derived from the seed (one injected panic per shard, a connection
 //! reset for every other session) and stamps explicit arrival slots so
@@ -278,6 +284,85 @@ fn scrape_telemetry(admin: &str, path: &str, stop: &AtomicBool) -> Result<u64, S
     Ok(lines + 1)
 }
 
+/// CPU time and context switches summed over the self-hosted service's
+/// threads (named `vod-svc-*`; the load generator's threads are not).
+#[derive(Debug, Clone, Copy, Default)]
+struct ServiceCpu {
+    user_ticks: u64,
+    sys_ticks: u64,
+    voluntary: u64,
+    involuntary: u64,
+}
+
+impl ServiceCpu {
+    /// Linux reports `utime`/`stime` in USER_HZ ticks, 100 per second.
+    const TICK_US: f64 = 10_000.0;
+
+    fn read() -> ServiceCpu {
+        let mut total = ServiceCpu::default();
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return total;
+        };
+        for task in tasks.flatten() {
+            let path = task.path();
+            let Ok(stat) = std::fs::read_to_string(path.join("stat")) else {
+                continue;
+            };
+            // `tid (comm) state …`: the name may hold spaces, so split at
+            // the last ')'.
+            let Some((head, rest)) = stat.rsplit_once(')') else {
+                continue;
+            };
+            if !head
+                .split_once('(')
+                .is_some_and(|(_, comm)| comm.starts_with("vod-svc"))
+            {
+                continue;
+            }
+            // `rest` starts at field 3 (state); utime and stime are fields
+            // 14 and 15.
+            let fields: Vec<&str> = rest.split_whitespace().collect();
+            let field = |i: usize| fields.get(i).and_then(|f| f.parse::<u64>().ok());
+            total.user_ticks += field(11).unwrap_or(0);
+            total.sys_ticks += field(12).unwrap_or(0);
+            let status = std::fs::read_to_string(path.join("status")).unwrap_or_default();
+            for line in status.lines() {
+                let count = |v: &str| v.trim().parse::<u64>().unwrap_or(0);
+                if let Some(v) = line.strip_prefix("voluntary_ctxt_switches:") {
+                    total.voluntary += count(v);
+                } else if let Some(v) = line.strip_prefix("nonvoluntary_ctxt_switches:") {
+                    total.involuntary += count(v);
+                }
+            }
+        }
+        total
+    }
+
+    fn since(&self, before: &ServiceCpu) -> ServiceCpu {
+        ServiceCpu {
+            user_ticks: self.user_ticks.saturating_sub(before.user_ticks),
+            sys_ticks: self.sys_ticks.saturating_sub(before.sys_ticks),
+            voluntary: self.voluntary.saturating_sub(before.voluntary),
+            involuntary: self.involuntary.saturating_sub(before.involuntary),
+        }
+    }
+
+    fn print_per_grant(&self, grants: u64) {
+        if grants == 0 {
+            return;
+        }
+        let per = |v: f64| v / grants as f64;
+        println!(
+            "service cpu per grant: user {:.2} us, sys {:.2} us (10 ms ticks); \
+             context switches per grant: voluntary {:.3}, involuntary {:.3}",
+            per(self.user_ticks as f64 * Self::TICK_US),
+            per(self.sys_ticks as f64 * Self::TICK_US),
+            per(self.voluntary as f64),
+            per(self.involuntary as f64),
+        );
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -467,6 +552,7 @@ fn main() -> ExitCode {
         store_seed: args.store_seed.unwrap_or(vod_dhb::svc::DEFAULT_STORE_SEED),
         ..LoadConfig::default()
     };
+    let cpu_before = hosted.as_ref().map(|_| ServiceCpu::read());
     let report = match run_load(addr, &config) {
         Ok(report) => report,
         Err(e) => {
@@ -475,6 +561,11 @@ fn main() -> ExitCode {
         }
     };
     print!("{}", report.render());
+    if let Some(before) = cpu_before {
+        ServiceCpu::read()
+            .since(&before)
+            .print_per_grant(report.grants);
+    }
 
     let mut failed = false;
     if report.protocol_errors > 0 {
