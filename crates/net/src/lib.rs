@@ -11,10 +11,6 @@
 //!   for [`Event`]s.
 //! - [`Waker`]: a nonblocking self-pipe for cross-thread wakeups — other
 //!   threads call [`Waker::wake`], the owning loop drains it and re-arms.
-//! - [`Signal`]: a fire-once broadcast flag readable from *many* pollers
-//!   at once (the byte is never drained, so level-triggered `epoll`
-//!   reports it readable forever) — used to interrupt blocking waits on
-//!   drain without polling.
 //! - [`nofile_limit`]: the `RLIMIT_NOFILE` soft/hard caps, so soak tests
 //!   can size themselves to the host.
 //!
@@ -27,7 +23,6 @@
 
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 mod sys {
@@ -313,27 +308,35 @@ impl Drop for Poller {
     }
 }
 
-/// A nonblocking pipe pair owned by this module; both ends close on drop.
+/// Cross-thread wakeup for one event loop: a nonblocking self-pipe.
+///
+/// Register [`Waker::as_raw_fd`] (the read end) in the loop's [`Poller`];
+/// any thread may call [`Waker::wake`] to make the loop's `wait` return.
+/// The loop calls [`Waker::drain`] when it sees the token, re-arming the
+/// level-triggered registration.
 #[derive(Debug)]
-struct PipePair {
+pub struct Waker {
     read_fd: RawFd,
     write_fd: RawFd,
 }
 
-impl PipePair {
-    fn new() -> io::Result<PipePair> {
+impl Waker {
+    /// A fresh waker (one nonblocking pipe).
+    pub fn new() -> io::Result<Waker> {
         let mut fds = [0i32; 2];
         // SAFETY: pipe2 writes exactly two fds into the array.
         cvt(unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) })?;
-        Ok(PipePair {
+        Ok(Waker {
             read_fd: fds[0],
             write_fd: fds[1],
         })
     }
 
-    /// Writes one byte; a full pipe (`EAGAIN`) counts as success because
-    /// the reader is already pending.
-    fn poke(&self) -> io::Result<()> {
+    /// Makes the owning poller's `wait` return. Cheap and thread-safe;
+    /// coalesces naturally when the pipe already holds a byte (a full
+    /// pipe, `EAGAIN`, counts as success because the reader is already
+    /// pending).
+    pub fn wake(&self) -> io::Result<()> {
         let byte = 1u8;
         // SAFETY: valid one-byte buffer.
         let rc = unsafe { sys::write(self.write_fd, (&raw const byte).cast(), 1) };
@@ -348,8 +351,8 @@ impl PipePair {
         }
     }
 
-    /// Reads and discards until the pipe is empty.
-    fn drain(&self) {
+    /// Empties the pipe so the next `wait` blocks again.
+    pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             // SAFETY: valid 64-byte buffer.
@@ -361,9 +364,9 @@ impl PipePair {
     }
 }
 
-impl Drop for PipePair {
+impl Drop for Waker {
     fn drop(&mut self) {
-        // SAFETY: both fds are owned by this pair and closed exactly once.
+        // SAFETY: both fds are owned by this waker and closed exactly once.
         unsafe {
             let _ = sys::close(self.read_fd);
             let _ = sys::close(self.write_fd);
@@ -371,88 +374,10 @@ impl Drop for PipePair {
     }
 }
 
-impl AsRawFd for PipePair {
+impl AsRawFd for Waker {
     /// The *read* end — the side a [`Poller`] watches.
     fn as_raw_fd(&self) -> RawFd {
         self.read_fd
-    }
-}
-
-/// Cross-thread wakeup for one event loop.
-///
-/// Register [`Waker::as_raw_fd`] (the read end) in the loop's [`Poller`];
-/// any thread may call [`Waker::wake`] to make the loop's `wait` return.
-/// The loop calls [`Waker::drain`] when it sees the token, re-arming the
-/// level-triggered registration.
-#[derive(Debug)]
-pub struct Waker {
-    pipe: PipePair,
-}
-
-impl Waker {
-    /// A fresh waker (one nonblocking pipe).
-    pub fn new() -> io::Result<Waker> {
-        Ok(Waker {
-            pipe: PipePair::new()?,
-        })
-    }
-
-    /// Makes the owning poller's `wait` return. Cheap and thread-safe;
-    /// coalesces naturally when the pipe already holds a byte.
-    pub fn wake(&self) -> io::Result<()> {
-        self.pipe.poke()
-    }
-
-    /// Empties the pipe so the next `wait` blocks again.
-    pub fn drain(&self) {
-        self.pipe.drain();
-    }
-}
-
-impl AsRawFd for Waker {
-    fn as_raw_fd(&self) -> RawFd {
-        self.pipe.as_raw_fd()
-    }
-}
-
-/// A fire-once broadcast flag visible to any number of pollers.
-///
-/// [`Signal::fire`] writes a single byte that is never drained; every
-/// level-triggered poller watching the read end reports it readable from
-/// then on. This turns "sleep 25ms and re-check the drain flag" loops
-/// into honest blocking waits that wake instantly.
-#[derive(Debug)]
-pub struct Signal {
-    pipe: PipePair,
-    fired: AtomicBool,
-}
-
-impl Signal {
-    /// A fresh unfired signal.
-    pub fn new() -> io::Result<Signal> {
-        Ok(Signal {
-            pipe: PipePair::new()?,
-            fired: AtomicBool::new(false),
-        })
-    }
-
-    /// Fires the signal. Idempotent; only the first call writes.
-    pub fn fire(&self) {
-        if !self.fired.swap(true, Ordering::SeqCst) {
-            let _ = self.pipe.poke();
-        }
-    }
-
-    /// Whether [`Signal::fire`] has been called.
-    #[must_use]
-    pub fn is_fired(&self) -> bool {
-        self.fired.load(Ordering::SeqCst)
-    }
-}
-
-impl AsRawFd for Signal {
-    fn as_raw_fd(&self) -> RawFd {
-        self.pipe.as_raw_fd()
     }
 }
 
@@ -570,29 +495,6 @@ mod tests {
             start.elapsed() >= Duration::from_millis(20),
             "timeout honoured"
         );
-    }
-
-    #[test]
-    fn signal_stays_readable_for_every_poller() {
-        let signal = Signal::new().expect("signal");
-        let a = Poller::new().expect("poller a");
-        let b = Poller::new().expect("poller b");
-        a.register(&signal, 1, Interest::READABLE).expect("reg a");
-        b.register(&signal, 2, Interest::READABLE).expect("reg b");
-        assert!(!signal.is_fired());
-        signal.fire();
-        signal.fire(); // idempotent
-        assert!(signal.is_fired());
-        let mut events = Events::with_capacity(2);
-        for (poller, token) in [(&a, 1u64), (&b, 2u64)] {
-            // Level-triggered + never drained: readable on every wait.
-            for _ in 0..2 {
-                poller
-                    .wait(&mut events, Some(Duration::from_secs(5)))
-                    .expect("wait");
-                assert!(events.iter().any(|e| e.token == token && e.readable));
-            }
-        }
     }
 
     #[test]

@@ -932,16 +932,23 @@ impl EventLoop {
                     }
                 }
             }
+            // Telemetry reads are answered here, as they are decoded: a
+            // scrape never queues behind a shard's admitted requests.
             Frame::Stats => {
                 // The full telemetry snapshot, stamped with monotonic time
-                // and window id so two STATS replies are orderable even
-                // across reconnects.
+                // so two STATS replies are orderable even across
+                // reconnects.
                 let json = shared
                     .telemetry
                     .snapshot_full(stats, &shared.sessions)
                     .to_json_pretty();
                 conn.sender
                     .send(Outbound::plain(Frame::StatsReply { json }));
+            }
+            Frame::Spans { max } => {
+                let jsonl = shared.telemetry.spans_jsonl(max as usize);
+                conn.sender
+                    .send(Outbound::plain(Frame::SpansReply { jsonl }));
             }
             Frame::Goodbye => {
                 // An orderly goodbye retires the session: nothing to
@@ -990,6 +997,7 @@ impl EventLoop {
             | Frame::Resumed { .. }
             | Frame::VideoInfo { .. }
             | Frame::StatsReply { .. }
+            | Frame::SpansReply { .. }
             | Frame::SubscribeOk { .. }
             | Frame::SegmentData { .. }
             | Frame::Draining => {

@@ -32,14 +32,14 @@
 //! admission wait → schedule → writer wait → flush) aggregated into
 //! per-shard per-stage histograms; counts are cumulative atomics stamped
 //! with a monotonic snapshot time, so scrapers derive rates by differencing
-//! two snapshots; and a separate [`admin`] listener serves `SNAPSHOT` /
-//! `SPANS` scrapes so watching a live server never competes with client
-//! admission.
+//! two snapshots. The serving port is the only read path: `Stats` and
+//! `Spans` frames on a sessionless connection ([`ScrapeClient`]) are
+//! answered on the event loop as they arrive, so watching a live server
+//! never waits on client admission.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admin;
 pub mod chaos;
 pub mod clock;
 mod data;
@@ -52,13 +52,12 @@ pub mod stats;
 mod telemetry;
 pub mod wire;
 
-pub use admin::{
-    find_counter, find_gauge, find_histogram, scrape_snapshot, scrape_spans, AdminClient,
-    AdminFrame, ADMIN_PROTOCOL_VERSION,
-};
 pub use chaos::ChaosPlan;
 pub use clock::SlotClock;
-pub use load::{fetch_stats, run_load, GrantRecord, LoadConfig, LoadReport};
+pub use load::{
+    fetch_stats, find_counter, find_gauge, find_histogram, run_load, GrantRecord, LoadConfig,
+    LoadReport, ScrapeClient,
+};
 pub use server::{DrainSummary, Service, SvcConfig};
 pub use stats::ServiceStats;
 pub use telemetry::SPAN_STAGES;

@@ -48,22 +48,28 @@
 //! `SubscribeOk.next_seq`, so everything missed while disconnected is
 //! accounted in [`DataTally::ring_resume_gaps`] rather than silently
 //! skipped (the server counts the same jump in `svc.ring.resume_gaps`).
+//!
+//! # Scraping
+//!
+//! [`ScrapeClient`] reads a live server's telemetry through `Stats` and
+//! `Spans` frames on its serving port; [`find_counter`], [`find_gauge`]
+//! and [`find_histogram`] pick values out of the snapshot it returns.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vod_net::{Events, Interest, Poller};
-use vod_obs::LogHistogram;
+use vod_obs::{HistogramSummary, LogHistogram};
 use vod_ring::PayloadOracle;
 
 use crate::session::lock_unpoisoned;
 use crate::wire::{
-    read_frame, write_frame, Frame, FrameDecoder, GrantedSegment, ARRIVAL_AUTO, PROTOCOL_VERSION,
-    RESUME_NONE,
+    read_frame, write_frame, Frame, FrameDecoder, GrantedSegment, WireError, ARRIVAL_AUTO,
+    PROTOCOL_VERSION, RESUME_NONE,
 };
 
 /// Load-run parameters.
@@ -809,36 +815,147 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> io::Result<LoadReport>
     Ok(report)
 }
 
-/// Connects, handshakes, and asks for one metrics snapshot.
+/// How long a scrape waits for its reply before giving up on the server.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A blocking telemetry scraper on the serving port: `vodtop`,
+/// `vodload --telemetry-out` and [`fetch_stats`] all read the server
+/// through it.
+///
+/// It never sends `Hello`, so the connection stays sessionless: a scrape
+/// registers no session and takes no replay ring, and the event loop
+/// answers its `Stats` and `Spans` as it decodes them, never behind a
+/// shard's admission queue.
+pub struct ScrapeClient {
+    stream: TcpStream,
+}
+
+impl ScrapeClient {
+    /// Connects to a serving address.
+    ///
+    /// # Errors
+    ///
+    /// Connection and socket-option failures.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ScrapeClient> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(SCRAPE_TIMEOUT))?;
+        Ok(ScrapeClient { stream })
+    }
+
+    /// Fetches one full telemetry snapshot (pretty JSON).
+    ///
+    /// # Errors
+    ///
+    /// Transport and codec failures, a server that stays silent for
+    /// `SCRAPE_TIMEOUT` (10 s), or a reply that is not `StatsReply`.
+    pub fn stats(&mut self) -> io::Result<String> {
+        match self.ask(&Frame::Stats)? {
+            Frame::StatsReply { json } => Ok(json),
+            _ => Err(invalid_data("expected StatsReply")),
+        }
+    }
+
+    /// Fetches the most recent `max` raw span records as JSONL.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScrapeClient::stats`], for a reply that is not `SpansReply`.
+    pub fn spans(&mut self, max: u32) -> io::Result<String> {
+        match self.ask(&Frame::Spans { max })? {
+            Frame::SpansReply { jsonl } => Ok(jsonl),
+            _ => Err(invalid_data("expected SpansReply")),
+        }
+    }
+
+    /// Sends `frame` and returns the first reply that is not a `Draining`
+    /// notice.
+    fn ask(&mut self, frame: &Frame) -> io::Result<Frame> {
+        write_frame(&mut self.stream, frame)?;
+        loop {
+            match read_frame(&mut self.stream) {
+                Ok(Some(Frame::Draining)) => {}
+                Ok(Some(reply)) => return Ok(reply),
+                Ok(None) => return Err(invalid_data("connection closed before the reply")),
+                Err(WireError::Io(e)) => return Err(e),
+                Err(e) => return Err(invalid_data(&e.to_string())),
+            }
+        }
+    }
+}
+
+fn invalid_data(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_owned())
+}
+
+/// One-shot [`ScrapeClient::stats`]: connect, snapshot, disconnect.
 ///
 /// # Errors
 ///
-/// Connect/handshake failures, an unexpected frame in place of the
-/// `StatsReply`, or a server that stops responding (reads time out rather
-/// than hanging forever).
+/// Any [`ScrapeClient`] failure.
 pub fn fetch_stats(addr: SocketAddr) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-        },
-    )?;
-    write_frame(&mut stream, &Frame::Stats)?;
-    let unexpected = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    loop {
-        match read_frame(&mut stream).map_err(|e| unexpected(&e.to_string()))? {
-            Some(Frame::Welcome { .. } | Frame::Draining) => continue,
-            Some(Frame::StatsReply { json }) => {
-                let _ = write_frame(&mut stream, &Frame::Goodbye);
-                return Ok(json);
-            }
-            Some(_) => return Err(unexpected("unexpected frame while waiting for stats")),
-            None => return Err(unexpected("connection closed before stats reply")),
-        }
-    }
+    ScrapeClient::connect(addr)?.stats()
+}
+
+/// Finds the named histogram's summary in a registry snapshot produced by
+/// `Registry::to_json_pretty`, as is or folded onto one line. A targeted
+/// scan over the deterministic snapshot layout — not a general JSON parser.
+#[must_use]
+pub fn find_histogram(json: &str, name: &str) -> Option<HistogramSummary> {
+    let obj = find_value(json, name)?;
+    let obj = obj.strip_prefix('{')?;
+    let body = &obj[..obj.find('}')?];
+    Some(HistogramSummary {
+        count: field_u64(body, "count")?,
+        min: field_u64(body, "min")?,
+        max: field_u64(body, "max")?,
+        mean: field_f64(body, "mean")?,
+        p50: field_u64(body, "p50")?,
+        p90: field_u64(body, "p90")?,
+        p99: field_u64(body, "p99")?,
+    })
+}
+
+/// Finds the named counter's value in a registry snapshot.
+#[must_use]
+pub fn find_counter(json: &str, name: &str) -> Option<u64> {
+    let v = find_value(json, name)?;
+    parse_leading_u64(v)
+}
+
+/// Finds the named gauge's value in a registry snapshot.
+#[must_use]
+pub fn find_gauge(json: &str, name: &str) -> Option<f64> {
+    let v = find_value(json, name)?;
+    parse_leading_f64(v)
+}
+
+/// Locates `"name":` (optionally with a space after the colon) and returns
+/// the remainder of the document starting at the value.
+fn find_value<'a>(json: &'a str, name: &str) -> Option<&'a str> {
+    let needle = format!("\"{name}\":");
+    let at = json.find(&needle)?;
+    Some(json[at + needle.len()..].trim_start())
+}
+
+fn field_u64(body: &str, field: &str) -> Option<u64> {
+    parse_leading_u64(find_value(body, field)?)
+}
+
+fn field_f64(body: &str, field: &str) -> Option<f64> {
+    parse_leading_f64(find_value(body, field)?)
+}
+
+fn parse_leading_u64(s: &str) -> Option<u64> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    s[..end].parse().ok()
+}
+
+fn parse_leading_f64(s: &str) -> Option<f64> {
+    let end = s
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(s.len());
+    s[..end].parse().ok()
 }
 
 /// What one frame read on the client side produced.
@@ -1708,5 +1825,30 @@ mod tests {
         assert!(!r.drained());
         r.finish();
         assert_eq!(r.tally().gaps, 1);
+    }
+
+    #[test]
+    fn json_scan_helpers_read_both_snapshot_forms() {
+        let mut r = vod_obs::Registry::new();
+        r.inc("svc.grants", 42);
+        r.set_gauge("svc.gauge.sessions_live", 8.5);
+        for v in [100u64, 200, 400] {
+            r.observe("svc.span.shard0.total_ns", v);
+        }
+        let pretty = r.to_json_pretty();
+        // The one-line form `vodtop --snapshot-out` and `vodload
+        // --telemetry-out` write.
+        let one_line: String = pretty.lines().map(str::trim).collect();
+        for json in [pretty, one_line] {
+            assert_eq!(find_counter(&json, "svc.grants"), Some(42));
+            assert_eq!(find_gauge(&json, "svc.gauge.sessions_live"), Some(8.5));
+            let h = find_histogram(&json, "svc.span.shard0.total_ns").expect("histogram");
+            assert_eq!(h.count, 3);
+            assert_eq!(h.min, 100);
+            assert_eq!(h.max, 400);
+            assert!(h.p99 >= 400);
+        }
+        assert!(find_counter("{}", "absent").is_none());
+        assert!(find_histogram("{\"histograms\":{}}", "absent").is_none());
     }
 }

@@ -1,14 +1,14 @@
 //! The TCP service: accept loop, event-loop connection core, admission
 //! control, session resume, and graceful drain.
 //!
-//! Thread topology: one accept thread, a small pool of event-loop threads
-//! (`io_threads`, default one per core up to 8) owning every client
-//! connection, and one thread per admin scrape connection. The `shards`
-//! supervised schedulers have no threads of their own: shard `s` runs on
-//! loop `s % io_threads`, which schedules requests for it inline and takes
-//! requests other loops admitted through its inbox. The loops validate,
-//! admit and route frames; every outbound frame goes through the
-//! connection's **bounded** outbound queue (flushed by its loop with
+//! Thread topology: one accept thread and a small pool of event-loop
+//! threads (`io_threads`, default one per core up to 8) owning every
+//! connection on the one serving port, telemetry scrapers included. The
+//! `shards` supervised schedulers have no threads of their own: shard `s`
+//! runs on loop `s % io_threads`, which schedules requests for it inline
+//! and takes requests other loops admitted through its inbox. The loops
+//! validate, admit and route frames; every outbound frame goes through
+//! the connection's **bounded** outbound queue (flushed by its loop with
 //! vectored writes), and a full queue stops the loop reading from that
 //! client, so a client that stops reading stalls only its own pipeline,
 //! never an unbounded buffer. See `eventloop.rs` for the ownership and
@@ -21,41 +21,38 @@
 //! the session onto the new connection and replays every missed answer
 //! byte-identically (see `session.rs` for the no-loss/no-double-delivery
 //! argument). Connections that never say `Hello` keep the old sessionless
-//! fast path.
+//! fast path; telemetry scrapers (`Stats`, `Spans`) use it, so a scrape
+//! never registers a session.
 //!
 //! Drain protocol (see DESIGN.md §12 and §16): [`Service::shutdown`] flips
 //! the drain flag, pokes the listener, and then drains in two phases. In
 //! phase one every event loop stops reading, so it admits and forwards
-//! nothing more, and queues one `Draining` frame per live connection; the
-//! admin plane is woken by a level-triggered drain [`Signal`] and closes
-//! out. Phase two tells the loops to close every connection as soon as its
+//! nothing more, and queues one `Draining` frame per live connection.
+//! Phase two tells the loops to close every connection as soon as its
 //! outbound queue has flushed and its in-flight answers have landed; a
 //! loop exits only once its shards have answered every queued request —
 //! so every admitted request gets its grant before the last socket
 //! closes.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vod_net::{Events, Interest, Poller, Signal};
 use vod_obs::{Event, Journal};
 use vod_server::ServeCatalog;
 use vod_types::VideoSpec;
 
-use crate::admin::{AdminFrame, ADMIN_PROTOCOL_VERSION};
 use crate::chaos::ChaosPlan;
 use crate::clock::SlotClock;
 use crate::data::{ChannelInit, DataPlane};
 use crate::eventloop::LoopPool;
-use crate::session::{lock_unpoisoned, SessionRegistry};
+use crate::session::SessionRegistry;
 use crate::shard::{RestartPolicy, ShardConfig, ShardVideo, ShardWorker};
 use crate::stats::ServiceStats;
 use crate::telemetry::Telemetry;
-use crate::wire::FrameBuffer;
 
 /// Service configuration. `Default` gives a small two-shard uniform catalog
 /// of paper-sized videos at real-time pace, no chaos, and a restart budget
@@ -105,12 +102,6 @@ pub struct SvcConfig {
     /// Deterministic fault plan ([`ChaosPlan::none`] in production). The
     /// plan is cloned — and thereby re-armed — per service instance.
     pub chaos: ChaosPlan,
-    /// Where to bind the admin scrape plane (`None` disables it). Use port
-    /// 0 for an ephemeral port; [`Service::admin_addr`] reports what was
-    /// bound.
-    pub admin_addr: Option<String>,
-    /// How many recent raw span records the admin `SPANS` query can return.
-    pub span_recent_cap: usize,
     /// Default data-plane payload rate in bytes per media-second, for
     /// catalog entries without their own `bytes-per-sec`: one segment's
     /// synthesized payload is `rate × segment_secs` bytes.
@@ -140,8 +131,6 @@ impl Default for SvcConfig {
             restart_backoff_cap: Duration::from_secs(1),
             shard_journal_cap: 65_536,
             chaos: ChaosPlan::none(),
-            admin_addr: None,
-            span_recent_cap: 1024,
             data_rate_bps: 1024,
             ring_cap: 64,
             store_seed: vod_ring::DEFAULT_STORE_SEED,
@@ -201,11 +190,6 @@ pub(crate) struct Shared {
     /// The broadcast data plane (channel rings, subscribers, segment
     /// store), shared by event loops (subscribe) and shards (publish).
     pub(crate) data: Arc<DataPlane>,
-    /// Fired once at shutdown; admin connection pollers watch it so idle
-    /// scrapers wake immediately instead of sleeping through a fixed poll
-    /// interval.
-    pub(crate) drain_signal: Arc<Signal>,
-    pub(crate) admins: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running VoD control-plane service.
@@ -215,10 +199,8 @@ pub(crate) struct Shared {
 /// (fine for a serve-forever binary, not for tests).
 pub struct Service {
     addr: SocketAddr,
-    admin_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     accept_handle: JoinHandle<()>,
-    admin_handle: Option<JoinHandle<()>>,
     pool: Arc<LoopPool>,
 }
 
@@ -236,11 +218,7 @@ impl Service {
         let dilation = config.dilation.max(1);
         let stats = Arc::new(ServiceStats::default());
         let chaos = Arc::new(config.chaos.clone());
-        let telemetry = Arc::new(Telemetry::new(
-            shards,
-            config.span_recent_cap,
-            config.max_restarts,
-        ));
+        let telemetry = Arc::new(Telemetry::new(shards, config.max_restarts));
 
         // Build every catalog entry. Good entries become shard-owned
         // schedulers, each ticking on its own slot clock (segment durations
@@ -350,8 +328,6 @@ impl Service {
             queue_cap: config.queue_cap.max(1),
             telemetry,
             data,
-            drain_signal: Arc::new(Signal::new()?),
-            admins: Mutex::new(Vec::new()),
         });
 
         let io_threads = if config.io_threads == 0 {
@@ -369,25 +345,10 @@ impl Service {
             .name("vod-svc-accept".to_owned())
             .spawn(move || accept_loop(&listener, &accept_shared, &accept_pool))?;
 
-        let (admin_addr, admin_handle) = match &config.admin_addr {
-            Some(bind) => {
-                let admin_listener = TcpListener::bind(bind.as_str())?;
-                let bound = admin_listener.local_addr()?;
-                let admin_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("vod-svc-admin".to_owned())
-                    .spawn(move || admin_accept_loop(&admin_listener, &admin_shared))?;
-                (Some(bound), Some(handle))
-            }
-            None => (None, None),
-        };
-
         Ok(Service {
             addr,
-            admin_addr,
             shared,
             accept_handle,
-            admin_handle,
             pool,
         })
     }
@@ -396,12 +357,6 @@ impl Service {
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The bound admin scrape-plane address, when one was configured.
-    #[must_use]
-    pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin_addr
     }
 
     /// The live counters (shared with every service thread).
@@ -422,18 +377,6 @@ impl Service {
         // forwarding nothing more) and queues a `Draining` frame per live
         // connection. Shards keep answering what was admitted.
         self.pool.begin_drain();
-        // The admin plane wakes on the drain signal (no poll interval to
-        // wait out); poke its listener too so `accept` returns.
-        self.shared.drain_signal.fire();
-        if let Some(admin_addr) = self.admin_addr {
-            let _ = TcpStream::connect(admin_addr);
-        }
-        if let Some(handle) = self.admin_handle {
-            let _ = handle.join();
-        }
-        for handle in take_handles(&self.shared.admins) {
-            let _ = handle.join();
-        }
         // Session rings hold connection senders; drop them so the queues
         // are referenced only by their connections (queued requests hold
         // their own session handles).
@@ -461,10 +404,6 @@ impl Service {
     }
 }
 
-fn take_handles(slot: &Mutex<Vec<JoinHandle<()>>>) -> Vec<JoinHandle<()>> {
-    std::mem::take(&mut *lock_unpoisoned(slot))
-}
-
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: &LoopPool) {
     loop {
         let stream = match listener.accept() {
@@ -483,189 +422,5 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: &LoopPool) {
         shared.stats.conns.fetch_add(1, Ordering::Relaxed);
         shared.journal.emit_with(|| Event::ConnAccepted { conn });
         pool.dispatch(stream, conn);
-    }
-}
-
-fn admin_accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut next_admin = 0u64;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        let id = next_admin;
-        next_admin += 1;
-        let conn_shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("vod-svc-admin-{id}"))
-            .spawn(move || run_admin_conn(stream, &conn_shared));
-        match handle {
-            Ok(handle) => lock_unpoisoned(&shared.admins).push(handle),
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Poller tokens for one admin connection: the stream and the service-wide
-/// drain signal.
-const ADMIN_STREAM: u64 = 0;
-const ADMIN_DRAIN: u64 = 1;
-
-/// One admin scrape connection's readiness-driven I/O: a nonblocking
-/// stream, a poller watching it alongside the drain [`Signal`], and an
-/// incremental frame buffer. Replaces the old fixed 25 ms read-timeout
-/// polling: idle scrapers sleep in `epoll_wait` until bytes or the drain
-/// signal arrive.
-struct AdminIo {
-    stream: TcpStream,
-    poller: Poller,
-    events: Events,
-    buf: FrameBuffer,
-    /// Interest currently registered for the stream.
-    registered: Interest,
-}
-
-impl AdminIo {
-    fn new(stream: TcpStream, shared: &Shared) -> io::Result<AdminIo> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        let poller = Poller::new()?;
-        poller.register(&stream, ADMIN_STREAM, Interest::READABLE)?;
-        poller.register(
-            shared.drain_signal.as_ref(),
-            ADMIN_DRAIN,
-            Interest::READABLE,
-        )?;
-        Ok(AdminIo {
-            stream,
-            poller,
-            events: Events::with_capacity(8),
-            buf: FrameBuffer::new(),
-            registered: Interest::READABLE,
-        })
-    }
-
-    fn set_interest(&mut self, interest: Interest) -> io::Result<()> {
-        if interest != self.registered {
-            self.poller
-                .reregister(&self.stream, ADMIN_STREAM, interest)?;
-            self.registered = interest;
-        }
-        Ok(())
-    }
-
-    /// Reads one admin frame, sleeping on readiness while the stream is
-    /// idle. Returns `None` on EOF, any failure, or the drain signal.
-    fn read_request(&mut self, shared: &Shared) -> Option<AdminFrame> {
-        if self.set_interest(Interest::READABLE).is_err() {
-            return None;
-        }
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.buf.next_payload() {
-                Ok(Some(payload)) => return AdminFrame::decode_payload(&payload).ok(),
-                Ok(None) => {}
-                Err(_) => return None,
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return None;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return None,
-                Ok(n) => {
-                    self.buf.extend(&chunk[..n]);
-                    continue;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.poller.wait(&mut self.events, None).is_err() {
-                        return None;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Writes one frame, waiting for writability as needed; the drain
-    /// signal aborts the wait (the scraper is being shut out anyway).
-    fn write_reply(&mut self, frame: &AdminFrame) -> io::Result<()> {
-        let bytes = frame.encode();
-        let mut written = 0;
-        while written < bytes.len() {
-            match self.stream.write(&bytes[written..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.set_interest(Interest::WRITABLE)?;
-                    self.poller.wait(&mut self.events, None)?;
-                    // Woken by the drain signal with the socket still not
-                    // writable? Keep trying: the reply must still go out; a
-                    // dead peer errors the write.
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One admin scrape connection: `Hello` handshake first, then any number of
-/// `Snapshot` / `Spans` requests. Every codec error drops the
-/// connection; requests sent while draining are cut short so shutdown never
-/// waits on a scraper.
-fn run_admin_conn(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(mut io) = AdminIo::new(stream, shared) else {
-        return;
-    };
-    let telemetry = &shared.telemetry;
-    match io.read_request(shared) {
-        Some(AdminFrame::Hello { .. }) => {
-            let hello_ok = AdminFrame::HelloOk {
-                version: ADMIN_PROTOCOL_VERSION,
-                shards: shared.shards as u32,
-            };
-            if io.write_reply(&hello_ok).is_err() {
-                return;
-            }
-        }
-        Some(_) => {
-            let _ = io.write_reply(&AdminFrame::Error {
-                message: "expected Hello first".to_owned(),
-            });
-            return;
-        }
-        None => return,
-    }
-    loop {
-        let reply = match io.read_request(shared) {
-            Some(AdminFrame::Snapshot) => AdminFrame::SnapshotReply {
-                json: telemetry
-                    .snapshot_full(&shared.stats, &shared.sessions)
-                    .to_json_pretty(),
-            },
-            Some(AdminFrame::Spans { max }) => AdminFrame::SpansReply {
-                jsonl: telemetry.spans_jsonl(max as usize),
-            },
-            Some(_) => {
-                let _ = io.write_reply(&AdminFrame::Error {
-                    message: "not a request frame".to_owned(),
-                });
-                return;
-            }
-            None => return,
-        };
-        if io.write_reply(&reply).is_err() {
-            return;
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! The live telemetry plane: request spans and gauges.
 //!
-//! [`Telemetry`] is the service-wide aggregation point the admin scrape
-//! plane reads from. It owns two things:
+//! [`Telemetry`] is the service-wide aggregation point the event loops
+//! answer `Stats` and `Spans` frames from. It owns two things:
 //!
 //! - a [`SpanSink`] of request-lifecycle spans. Every admitted request gets
 //!   a span id on its event loop; monotonic timestamps are taken at each
@@ -51,6 +51,11 @@ pub const SPAN_STAGES: &[&str] = &[
 /// Index of the `decode` stage in [`SPAN_STAGES`].
 const STAGE_COUNT: usize = 5;
 
+/// How many recent raw span records a `Spans` reply can carry. A full
+/// ring of worst-case records renders well under `MAX_FRAME_LEN` (pinned
+/// by a unit test below).
+const SPAN_RECENT_CAP: usize = 1024;
+
 /// The service-wide telemetry aggregation point.
 pub(crate) struct Telemetry {
     origin: Instant,
@@ -80,12 +85,12 @@ struct ShardRing {
 }
 
 impl Telemetry {
-    pub(crate) fn new(shards: usize, span_recent_cap: usize, max_restarts: u32) -> Telemetry {
+    pub(crate) fn new(shards: usize, max_restarts: u32) -> Telemetry {
         let shards = shards.max(1);
         Telemetry {
             origin: Instant::now(),
             next_span: AtomicU64::new(0),
-            spans: Mutex::new(SpanSink::new(SPAN_STAGES, span_recent_cap)),
+            spans: Mutex::new(SpanSink::new(SPAN_STAGES, SPAN_RECENT_CAP)),
             queue_depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             clock_lag_slots: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             restarts_used: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -144,7 +149,7 @@ impl Telemetry {
         lock_unpoisoned(&self.spans).record(id, shard, stage_ns, total_ns, end);
     }
 
-    /// The recent raw span records rendered as JSONL (admin `SPANS` reply).
+    /// The recent raw span records rendered as JSONL (the `SpansReply`).
     pub(crate) fn spans_jsonl(&self, max: usize) -> String {
         lock_unpoisoned(&self.spans).render_recent_jsonl(max)
     }
@@ -326,7 +331,7 @@ mod tests {
 
     #[test]
     fn snapshot_carries_spans_gauges_and_stamp() {
-        let t = Telemetry::new(2, 64, 3);
+        let t = Telemetry::new(2, 3);
         let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         assert!(t.queue_enter(1, 1));
@@ -352,7 +357,7 @@ mod tests {
 
     #[test]
     fn ring_outcomes_reach_per_shard_counters() {
-        let t = Telemetry::new(2, 16, 0);
+        let t = Telemetry::new(2, 0);
         let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         t.on_ring(
@@ -375,7 +380,7 @@ mod tests {
 
     #[test]
     fn snapshot_stamps_are_monotonic() {
-        let t = Telemetry::new(1, 16, 3);
+        let t = Telemetry::new(1, 3);
         let stats = ServiceStats::default();
         let sessions = SessionRegistry::default();
         let a = t.snapshot_full(&stats, &sessions);
@@ -386,7 +391,7 @@ mod tests {
 
     #[test]
     fn queue_depth_never_underflows() {
-        let t = Telemetry::new(1, 16, 0);
+        let t = Telemetry::new(1, 0);
         t.queue_leave(0);
         assert!(t.queue_enter(0, 4));
         t.queue_leave(0);
@@ -399,7 +404,7 @@ mod tests {
 
     #[test]
     fn span_stages_sum_within_total() {
-        let t = Arc::new(Telemetry::new(1, 16, 0));
+        let t = Arc::new(Telemetry::new(1, 0));
         let start = SpanStart {
             id: t.next_span_id(),
             started: Instant::now(),
@@ -418,5 +423,30 @@ mod tests {
         // the real guarantee (disjoint stages) is asserted end-to-end in
         // the loopback telemetry test.
         assert!(r.histogram_summary("svc.span.shard0.flush_ns").unwrap().max == 10);
+    }
+
+    #[test]
+    fn a_full_ring_of_worst_case_spans_fits_one_frame() {
+        let t = Telemetry::new(1, 0);
+        {
+            let mut spans = lock_unpoisoned(&t.spans);
+            for _ in 0..SPAN_RECENT_CAP {
+                spans.record(
+                    u64::MAX,
+                    u32::MAX,
+                    &[u64::MAX; STAGE_COUNT],
+                    u64::MAX,
+                    u64::MAX,
+                );
+            }
+        }
+        let jsonl = t.spans_jsonl(u32::MAX as usize);
+        assert_eq!(jsonl.lines().count(), SPAN_RECENT_CAP);
+        let payload = Frame::SpansReply { jsonl }.encode_payload();
+        assert!(
+            payload.len() <= crate::wire::MAX_FRAME_LEN,
+            "{} bytes exceed the frame cap",
+            payload.len()
+        );
     }
 }

@@ -25,7 +25,8 @@ use vod_obs::RejectKind;
 /// segment payload bytes. The decoder rejects any other version with
 /// [`WireError::Version`] — a v1/v2/v3 peer cannot interpret v4 frames
 /// correctly, so the mismatch must fail loudly at the handshake, not
-/// garble schedules.
+/// garble schedules. The `Spans`/`SpansReply` pair came later without a
+/// bump: no v4 client sends `Spans`, and a scraper never sends `Hello`.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard upper bound on a frame payload, enforced by both sides before any
@@ -66,7 +67,7 @@ pub struct GrantedSegment {
 }
 
 /// One protocol frame, client→server (`Hello`, `Request`, `Stats`,
-/// `Goodbye`) or server→client (the rest).
+/// `Spans`, `Goodbye`, …) or server→client (the rest).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client handshake.
@@ -88,6 +89,11 @@ pub enum Frame {
     },
     /// Ask for a metrics snapshot.
     Stats,
+    /// Ask for the most recent raw request spans.
+    Spans {
+        /// Maximum records to return.
+        max: u32,
+    },
     /// Orderly goodbye; the server flushes pending grants and closes.
     Goodbye,
     /// Ask how one video is served: segment count, protocol, periods.
@@ -171,6 +177,11 @@ pub enum Frame {
     StatsReply {
         /// Deterministic JSON document (see `vod_obs::Registry`).
         json: String,
+    },
+    /// Reply to `Spans`: the recent span records, oldest first.
+    SpansReply {
+        /// One JSON object per line (empty when no span finished yet).
+        jsonl: String,
     },
     /// The service is draining: no further requests will be admitted on
     /// this connection; already-admitted grants still arrive.
@@ -277,6 +288,7 @@ const TAG_GOODBYE: u8 = 4;
 const TAG_DESCRIBE: u8 = 5;
 const TAG_RESUME: u8 = 6;
 const TAG_SUBSCRIBE: u8 = 7;
+const TAG_SPANS: u8 = 8;
 const TAG_WELCOME: u8 = 16;
 const TAG_GRANT: u8 = 17;
 const TAG_REJECTED: u8 = 18;
@@ -286,6 +298,7 @@ const TAG_VIDEO_INFO: u8 = 21;
 const TAG_RESUMED: u8 = 22;
 const TAG_SUBSCRIBE_OK: u8 = 23;
 const TAG_SEGMENT_DATA: u8 = 24;
+const TAG_SPANS_REPLY: u8 = 25;
 
 impl Frame {
     /// Encodes the payload (tag + fields, no length prefix).
@@ -308,6 +321,10 @@ impl Frame {
                 out.extend_from_slice(&arrival_slot.to_le_bytes());
             }
             Frame::Stats => out.push(TAG_STATS),
+            Frame::Spans { max } => {
+                out.push(TAG_SPANS);
+                out.extend_from_slice(&max.to_le_bytes());
+            }
             Frame::Goodbye => out.push(TAG_GOODBYE),
             Frame::Describe { seq, video } => {
                 out.push(TAG_DESCRIBE);
@@ -373,8 +390,7 @@ impl Frame {
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&video.to_le_bytes());
                 out.extend_from_slice(&segments.to_le_bytes());
-                out.extend_from_slice(&(protocol.len() as u32).to_le_bytes());
-                out.extend_from_slice(protocol.as_bytes());
+                push_string(&mut out, protocol);
                 out.extend_from_slice(&(periods.len() as u32).to_le_bytes());
                 for period in periods {
                     out.extend_from_slice(&period.to_le_bytes());
@@ -382,8 +398,11 @@ impl Frame {
             }
             Frame::StatsReply { json } => {
                 out.push(TAG_STATS_REPLY);
-                out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-                out.extend_from_slice(json.as_bytes());
+                push_string(&mut out, json);
+            }
+            Frame::SpansReply { jsonl } => {
+                out.push(TAG_SPANS_REPLY);
+                push_string(&mut out, jsonl);
             }
             Frame::Draining => out.push(TAG_DRAINING),
             Frame::Resumed { session, replayed } => {
@@ -459,6 +478,7 @@ impl Frame {
                 arrival_slot: r.u64()?,
             },
             TAG_STATS => Frame::Stats,
+            TAG_SPANS => Frame::Spans { max: r.u32()? },
             TAG_GOODBYE => Frame::Goodbye,
             TAG_DESCRIBE => Frame::Describe {
                 seq: r.u64()?,
@@ -510,9 +530,7 @@ impl Frame {
                 let seq = r.u64()?;
                 let video = r.u32()?;
                 let segments = r.u32()?;
-                let name_len = r.u32()? as usize;
-                let protocol = String::from_utf8(r.take(name_len)?.to_vec())
-                    .map_err(|_| WireError::Malformed("protocol name is not UTF-8"))?;
+                let protocol = r.string("protocol name is not UTF-8")?;
                 let count = r.u32()? as usize;
                 // 8 bytes per period: the count cannot promise more entries
                 // than the remaining payload holds.
@@ -531,14 +549,12 @@ impl Frame {
                     periods,
                 }
             }
-            TAG_STATS_REPLY => {
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?;
-                Frame::StatsReply {
-                    json: String::from_utf8(bytes.to_vec())
-                        .map_err(|_| WireError::Malformed("stats json is not UTF-8"))?,
-                }
-            }
+            TAG_STATS_REPLY => Frame::StatsReply {
+                json: r.string("stats json is not UTF-8")?,
+            },
+            TAG_SPANS_REPLY => Frame::SpansReply {
+                jsonl: r.string("spans jsonl is not UTF-8")?,
+            },
             TAG_DRAINING => Frame::Draining,
             TAG_RESUMED => Frame::Resumed {
                 session: r.u64()?,
@@ -584,6 +600,12 @@ impl Frame {
     }
 }
 
+/// Appends a string as a `u32` length plus its UTF-8 bytes.
+fn push_string(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF (no
 /// bytes of a next frame read yet).
 ///
@@ -623,8 +645,8 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// whatever arrived ([`FrameBuffer::extend`]) and yields complete payloads
 /// ([`FrameBuffer::next_payload`]) as soon as they close, holding partial
 /// frames across calls. It is codec-agnostic (payload bytes out, no tag
-/// interpretation), so the client protocol and the admin protocol share
-/// it; [`FrameDecoder`] layers [`Frame::decode_payload`] on top.
+/// interpretation); [`FrameDecoder`] layers [`Frame::decode_payload`] on
+/// top.
 ///
 /// An oversized length prefix is detected as soon as its 4 bytes land,
 /// before buffering any payload — same guarantee as [`read_frame`].
@@ -751,24 +773,22 @@ impl FrameDecoder {
     }
 }
 
-/// Bounds-checked little-endian payload reader. Shared with the admin
-/// telemetry codec (`admin.rs`), which speaks the same framing
-/// conventions under its own version number.
-pub(crate) struct Cursor<'a> {
+/// Bounds-checked little-endian payload reader.
+struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -777,7 +797,7 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+    fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
@@ -789,16 +809,22 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+    fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+    fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string; `what` names the failure.
+    fn string(&mut self, what: &'static str) -> Result<String, WireError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| WireError::Malformed(what))
     }
 
     /// A protocol-version field: structurally a `u32`, but only
@@ -900,6 +926,10 @@ mod tests {
             Frame::Stats,
             Frame::StatsReply {
                 json: "{\"counters\": {}}".to_owned(),
+            },
+            Frame::Spans { max: 128 },
+            Frame::SpansReply {
+                jsonl: "{\"span\": 1}\n".to_owned(),
             },
             Frame::Subscribe { video: 3 },
             Frame::SubscribeOk {

@@ -1,5 +1,5 @@
-//! End-to-end telemetry tests: a live [`Service`] with the admin scrape
-//! plane enabled, driven by the `vodload` engine in-process.
+//! End-to-end telemetry tests: a live [`Service`] driven by the `vodload`
+//! engine in-process and scraped on its serving port.
 //!
 //! The centrepiece pins the span contract: with four shards under load,
 //! every shard exports a per-stage latency histogram, the raw spans'
@@ -10,12 +10,17 @@
 //! the offline scheduler oracle — instrumentation must never change what
 //! the protocol says, only report on it.
 
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use vod_obs::Journal;
+use vod_svc::wire::{read_frame, write_frame};
 use vod_svc::{
-    fetch_stats, find_counter, find_gauge, find_histogram, run_load, AdminClient, GrantedSegment,
-    LoadConfig, ServeCatalog, ServeEntry, Service, SvcConfig, SPAN_STAGES,
+    fetch_stats, find_counter, find_gauge, find_histogram, run_load, Frame, GrantedSegment,
+    LoadConfig, ScrapeClient, ServeCatalog, ServeEntry, Service, SvcConfig, ARRIVAL_AUTO,
+    PROTOCOL_VERSION, SPAN_STAGES,
 };
 use vod_types::{Seconds, Slot, VideoSpec};
 
@@ -74,12 +79,10 @@ fn spans_decompose_e2e_latency_on_every_shard() {
             catalog: ServeCatalog::uniform(shards as u32, video),
             shards,
             dilation: 1_000,
-            admin_addr: Some("127.0.0.1:0".to_owned()),
             ..SvcConfig::default()
         },
     )
     .expect("service starts");
-    let admin = service.admin_addr().expect("admin plane up").to_string();
 
     // Connection c drives video c, and video c lives on shard c % 4, so
     // every shard sees exactly one connection's worth of spans.
@@ -114,9 +117,8 @@ fn spans_decompose_e2e_latency_on_every_shard() {
         }
     }
 
-    let mut client = AdminClient::connect(&admin).expect("admin connect");
-    assert_eq!(client.shards(), shards as u32);
-    let json = client.snapshot().expect("snapshot scrape");
+    let mut client = ScrapeClient::connect(service.local_addr()).expect("scrape connect");
+    let json = client.stats().expect("snapshot scrape");
     assert_eq!(find_counter(&json, "svc.grants"), Some(total), "{json}");
 
     // Every shard exports the full stage taxonomy, each stage having seen
@@ -190,5 +192,90 @@ fn stats_frame_carries_advancing_snapshot_stamps() {
         mono1 > mono0,
         "snapshot timestamp must advance: {mono0} → {mono1}"
     );
+    let _ = service.shutdown();
+}
+
+#[test]
+fn a_scrape_is_answered_ahead_of_queued_requests() {
+    // One loop owns the only shard, and every request holds the shard for
+    // 100 ms: connection A's eight pipelined requests take 800 ms to
+    // answer. A `Stats` from connection B must not wait behind them.
+    const PIPELINED: u64 = 8;
+    let service = Service::start(
+        "127.0.0.1:0",
+        &SvcConfig {
+            catalog: ServeCatalog::uniform(1, small_video()),
+            shards: 1,
+            io_threads: 1,
+            min_service_time: Duration::from_millis(100),
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    let addr = service.local_addr();
+
+    let mut a = TcpStream::connect(addr).expect("connect A");
+    write_frame(
+        &mut a,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        read_frame(&mut a).expect("read welcome"),
+        Some(Frame::Welcome { .. })
+    ));
+    let mut scraper = ScrapeClient::connect(addr).expect("connect B");
+    let before = scraper.stats().expect("baseline scrape");
+    let sessions_before = find_gauge(&before, "svc.gauge.sessions_live");
+    assert_eq!(
+        sessions_before,
+        Some(1.0),
+        "only A holds a session: {before}"
+    );
+
+    for seq in 0..PIPELINED {
+        write_frame(
+            &mut a,
+            &Frame::Request {
+                seq,
+                video: 0,
+                arrival_slot: ARRIVAL_AUTO,
+            },
+        )
+        .expect("request");
+    }
+    // A reader counts A's grants as they land.
+    let granted = Arc::new(AtomicU64::new(0));
+    let reader = {
+        let granted = Arc::clone(&granted);
+        std::thread::spawn(move || {
+            while granted.load(Ordering::SeqCst) < PIPELINED {
+                match read_frame(&mut a).expect("read grant") {
+                    Some(Frame::Grant { .. }) => granted.fetch_add(1, Ordering::SeqCst),
+                    other => panic!("expected a grant, got {other:?}"),
+                };
+            }
+        })
+    };
+    // Scrape once A's backlog is in the shard: its first grant is out.
+    while granted.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let during = scraper.stats().expect("scrape during the backlog");
+    let granted_at_reply = granted.load(Ordering::SeqCst);
+    assert!(
+        granted_at_reply < PIPELINED,
+        "the scrape waited for all {PIPELINED} grants"
+    );
+    let depth = find_gauge(&during, "svc.gauge.shard0.queue_depth").expect("depth gauge");
+    assert!(depth >= 1.0, "scraped with requests still queued: {during}");
+    assert_eq!(
+        find_gauge(&during, "svc.gauge.sessions_live"),
+        sessions_before,
+        "a scrape registers no session"
+    );
+    reader.join().expect("reader");
     let _ = service.shutdown();
 }

@@ -54,6 +54,10 @@ fn build_frame(kind: usize, a: u64, b: u64, c: u32, segs: &[(u32, u64, bool)]) -
             session: a,
             replayed: c,
         },
+        7 => Frame::Spans { max: c },
+        8 => Frame::SpansReply {
+            jsonl: format!("{{\"id\": {a}, \"total_ns\": {b}}}\n").repeat(segs.len()),
+        },
         _ => Frame::Draining,
     }
 }
@@ -84,7 +88,7 @@ proptest! {
     /// boundary.
     #[test]
     fn every_two_chunk_split_is_byte_identical(
-        kinds in prop::collection::vec(0usize..8, 1..4),
+        kinds in prop::collection::vec(0usize..10, 1..4),
         (a, b, c) in (any::<u64>(), any::<u64>(), any::<u32>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..6),
     ) {
@@ -114,7 +118,7 @@ proptest! {
     /// exactly the interior bytes.
     #[test]
     fn one_byte_reads_are_byte_identical(
-        kinds in prop::collection::vec(0usize..8, 1..5),
+        kinds in prop::collection::vec(0usize..10, 1..5),
         (a, b, c) in (any::<u64>(), any::<u64>(), any::<u32>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..5),
     ) {
@@ -141,7 +145,7 @@ proptest! {
     /// correctly when the remainder arrives.
     #[test]
     fn partial_prefixes_hold_silently(
-        kind in 0usize..8,
+        kind in 0usize..10,
         (a, b, c) in (any::<u64>(), any::<u64>(), any::<u32>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..6),
         cut_seed in any::<u64>(),
@@ -167,7 +171,7 @@ proptest! {
     /// oracle and re-encoding to the original stream.
     #[test]
     fn coalesced_frames_drain_in_order(
-        kinds in prop::collection::vec(0usize..8, 2..8),
+        kinds in prop::collection::vec(0usize..10, 2..8),
         (a, b, c) in (any::<u64>(), any::<u64>(), any::<u32>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..4),
     ) {
@@ -193,7 +197,7 @@ proptest! {
     /// the oracle — the general case subsuming the targeted ones above.
     #[test]
     fn random_chunkings_are_byte_identical(
-        kinds in prop::collection::vec(0usize..8, 1..6),
+        kinds in prop::collection::vec(0usize..10, 1..6),
         (a, b, c) in (any::<u64>(), any::<u64>(), any::<u32>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..5),
         cuts in prop::collection::vec(any::<u16>(), 0..12),

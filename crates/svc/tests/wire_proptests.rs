@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use vod_svc::wire::{read_frame, Frame, WireError};
 use vod_svc::{GrantedSegment, MAX_FRAME_LEN, PROTOCOL_VERSION, SEGMENT_CHUNK_BYTES};
 
-/// All sixteen frame kinds, driven by primitive inputs (the proptest shim
+/// All eighteen frame kinds, driven by primitive inputs (the proptest shim
 /// has no derive support). `Hello`/`Welcome` carry [`PROTOCOL_VERSION`] —
 /// any other version is rejected at decode, which the version-mismatch
 /// tests below pin separately. `SegmentData` keeps `offset + bytes.len()`
@@ -98,6 +98,10 @@ fn build_frame(
                 .saturating_add(a & 0xffff),
             bytes: text.to_vec(),
         },
+        15 => Frame::Spans { max: c },
+        16 => Frame::SpansReply {
+            jsonl: String::from_utf8_lossy(text).into_owned(),
+        },
         _ => Frame::Draining,
     }
 }
@@ -107,7 +111,7 @@ proptest! {
 
     #[test]
     fn encode_decode_is_byte_identity(
-        (kind, a) in (0usize..16, any::<u64>()),
+        (kind, a) in (0usize..18, any::<u64>()),
         (b, c, flag) in (any::<u64>(), any::<u32>(), any::<bool>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..12),
         text in prop::collection::vec(any::<u8>(), 0..64),
@@ -129,7 +133,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_are_rejected_not_panicked(
-        (kind, a) in (0usize..16, any::<u64>()),
+        (kind, a) in (0usize..18, any::<u64>()),
         (b, c, flag) in (any::<u64>(), any::<u32>(), any::<bool>()),
         segs in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..8),
         cut_seed in any::<u64>(),
@@ -149,6 +153,19 @@ proptest! {
         // An empty stream is clean EOF, not an error.
         let mut empty = &bytes[..0];
         prop_assert!(matches!(read_frame(&mut empty), Ok(None)));
+    }
+
+    #[test]
+    fn trailing_bytes_are_malformed(
+        (kind, a) in (0usize..18, any::<u64>()),
+        (b, c, junk) in (any::<u64>(), any::<u32>(), any::<u8>()),
+    ) {
+        // The payload decoder is exact: any unconsumed suffix is an error,
+        // so a frame can never smuggle bytes past the parser.
+        let frame = build_frame(kind, a, b, c, false, &[], b"{}");
+        let mut payload = frame.encode_payload();
+        payload.push(junk);
+        prop_assert!(Frame::decode_payload(&payload).is_err());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use vod_dhb::sim::{ArrivalShape, ZipfCatalog};
 use vod_dhb::svc::{
-    fetch_stats, run_load, AdminClient, ChaosPlan, LoadConfig, ServeCatalog, Service, SvcConfig,
+    fetch_stats, run_load, ChaosPlan, LoadConfig, ScrapeClient, ServeCatalog, Service, SvcConfig,
 };
 use vod_dhb::types::{Seconds, VideoSpec};
 
@@ -60,7 +60,6 @@ struct Args {
     chaos: Option<u64>,
     chaos_stall_ms: Option<u64>,
     telemetry_out: Option<String>,
-    admin_addr: Option<String>,
     verify_bytes: bool,
     data_rate: Option<u64>,
     store_seed: Option<u64>,
@@ -76,7 +75,7 @@ const USAGE: &str = "usage:\n  \
     [--describe] [--shards 2] [--dilation 1] [--queue-cap 64]\n          \
     [--stats-out stats.json] [--max-p99-ms 250] [--retries 3]\n          \
     [--timeout-secs 30] [--chaos SEED] [--chaos-stall-ms 50]\n          \
-    [--telemetry-out telemetry.jsonl] [--admin-addr host:port]\n          \
+    [--telemetry-out telemetry.jsonl]\n          \
     [--verify-bytes] [--data-rate BYTES_PER_MEDIA_SEC] [--store-seed SEED]\n          \
     [--zipf S] [--ramp | --flash-crowd] [--shape-seed SEED]\n\n\
     --catalog self-hosts a heterogeneous catalog file (implies --self-host);\n\
@@ -87,11 +86,8 @@ const USAGE: &str = "usage:\n  \
     --chaos SEED self-hosts with a seeded fault plan (implies --self-host)\n\
     and fails the run unless every session recovers;\n\
     --chaos-stall-ms adds a planned writer stall to the chaos plan;\n\
-    --telemetry-out streams admin-plane snapshots (one JSON line per\n\
-    second, plus a final one) for the duration of the run; with --self-host it stands up the\n\
-    admin listener automatically, with --addr it needs --admin-addr pointing\n\
-    at the remote server's admin plane (for --self-host, --admin-addr is the\n\
-    bind address of the hosted admin listener);\n\
+    --telemetry-out streams STATS snapshots from the serving port (one JSON\n\
+    line per second, plus a final one) for the duration of the run;\n\
     --verify-bytes subscribes every connection to its video's broadcast\n\
     channel and verifies each delivered segment byte-for-byte against the\n\
     deterministic store oracle, failing on any byte mismatch or\n\
@@ -128,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
         chaos: None,
         chaos_stall_ms: None,
         telemetry_out: None,
-        admin_addr: None,
         verify_bytes: false,
         data_rate: None,
         store_seed: None,
@@ -205,7 +200,6 @@ fn parse_args() -> Result<Args, String> {
                 args.chaos_stall_ms = Some(num("--chaos-stall-ms", &value("--chaos-stall-ms")?)?);
             }
             "--telemetry-out" => args.telemetry_out = Some(value("--telemetry-out")?),
-            "--admin-addr" => args.admin_addr = Some(value("--admin-addr")?),
             "--data-rate" => args.data_rate = Some(num("--data-rate", &value("--data-rate")?)?),
             "--store-seed" => args.store_seed = Some(num("--store-seed", &value("--store-seed")?)?),
             "--zipf" => args.zipf = Some(num("--zipf", &value("--zipf")?)?),
@@ -239,28 +233,23 @@ fn parse_args() -> Result<Args, String> {
     if args.conns == 0 || args.requests == 0 || args.window == 0 {
         return Err("--conns, --requests, and --window must be positive".to_owned());
     }
-    if args.telemetry_out.is_some() && !args.self_host && args.admin_addr.is_none() {
-        return Err(format!(
-            "--telemetry-out against a remote server needs --admin-addr\n\n{USAGE}"
-        ));
-    }
     Ok(args)
 }
 
 /// How often `--telemetry-out` records a snapshot.
 const SCRAPE_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Streams admin-plane snapshots into `path` (one compact JSON line per
+/// Streams `STATS` snapshots into `path` (one compact JSON line per
 /// [`SCRAPE_INTERVAL`]) until `stop` is raised, then takes one final
 /// snapshot so even a sub-second run leaves a record. Returns the line
 /// count.
-fn scrape_telemetry(admin: &str, path: &str, stop: &AtomicBool) -> Result<u64, String> {
-    let mut client = AdminClient::connect(admin)
-        .map_err(|e| format!("cannot reach admin plane {admin}: {e}"))?;
+fn scrape_telemetry(addr: SocketAddr, path: &str, stop: &AtomicBool) -> Result<u64, String> {
+    let mut client =
+        ScrapeClient::connect(addr).map_err(|e| format!("cannot reach server {addr}: {e}"))?;
     let mut file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    let mut write_snapshot = |client: &mut AdminClient| -> Result<(), String> {
+    let mut write_snapshot = |client: &mut ScrapeClient| -> Result<(), String> {
         let snap = client
-            .snapshot()
+            .stats()
             .map_err(|e| format!("snapshot scrape failed: {e}"))?;
         // The pretty form only breaks lines at structural whitespace, so
         // stripping indentation folds it into one valid JSON line.
@@ -417,20 +406,12 @@ fn main() -> ExitCode {
             }
             None => ChaosPlan::none(),
         };
-        // A scrape sink wants an admin plane even if no bind address was
-        // given; an ephemeral port works because we report it below.
-        let admin_bind = match (&args.admin_addr, &args.telemetry_out) {
-            (Some(bind), _) => Some(bind.clone()),
-            (None, Some(_)) => Some("127.0.0.1:0".to_owned()),
-            (None, None) => None,
-        };
         let mut config = SvcConfig {
             catalog,
             shards: args.shards,
             dilation: args.dilation,
             queue_cap: args.queue_cap,
             chaos,
-            admin_addr: admin_bind,
             ..SvcConfig::default()
         };
         if let Some(rate) = args.data_rate {
@@ -442,9 +423,6 @@ fn main() -> ExitCode {
         match Service::start("127.0.0.1:0", &config) {
             Ok(service) => {
                 println!("self-hosted vod-svc on {}", service.local_addr());
-                if let Some(admin) = service.admin_addr() {
-                    println!("admin plane on {admin}");
-                }
                 if let Some(seed) = args.chaos {
                     println!("chaos plan armed (seed {seed})");
                 }
@@ -478,18 +456,12 @@ fn main() -> ExitCode {
 
     // Telemetry scraper: a side thread streams one snapshot line per
     // second into the JSONL sink while the load runs.
-    let scrape_addr = match (&args.telemetry_out, &hosted) {
-        (Some(_), Some(service)) => service.admin_addr().map(|a| a.to_string()),
-        (Some(_), None) => args.admin_addr.clone(),
-        (None, _) => None,
-    };
     let scrape_stop = Arc::new(AtomicBool::new(false));
-    let scraper = scrape_addr.map(|admin| {
-        let path = args.telemetry_out.clone().unwrap_or_default();
+    let scraper = args.telemetry_out.clone().map(|path| {
         let stop = Arc::clone(&scrape_stop);
         std::thread::Builder::new()
             .name("vodload-telemetry".to_owned())
-            .spawn(move || scrape_telemetry(&admin, &path, &stop))
+            .spawn(move || scrape_telemetry(addr, &path, &stop))
             .expect("spawn telemetry scraper")
     });
 

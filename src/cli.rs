@@ -146,13 +146,11 @@ pub enum Command {
         max_restarts: u32,
         /// Run duration in seconds; 0 serves until the process is killed.
         run_secs: f64,
-        /// Admin scrape-plane bind address (`None` disables telemetry
-        /// scraping; port 0 picks an ephemeral port).
-        admin_addr: Option<String>,
     },
-    /// `vodsim vodtop …` — watch a live server through its admin plane.
+    /// `vodsim vodtop …` — watch a live server through its telemetry
+    /// frames.
     Vodtop {
-        /// The server's admin scrape-plane address.
+        /// The server's serving address.
         addr: String,
         /// How many telemetry refreshes to take after the first snapshot,
         /// one per second.
@@ -221,8 +219,8 @@ pub fn usage() -> String {
      vodsim serve [--addr 127.0.0.1:7400] [--catalog catalog.toml]\n          \
      [--videos 4] [--segments 120] [--duration-mins 120]\n          \
      [--shards 2] [--dilation 1] [--queue-cap 64] [--replay-cap 1024]\n          \
-     [--max-restarts 3] [--run-secs 0] [--admin-addr 127.0.0.1:7401]\n  \
-     vodsim vodtop --addr <admin host:port> [--intervals 5]\n          \
+     [--max-restarts 3] [--run-secs 0]\n  \
+     vodsim vodtop --addr <host:port> [--intervals 5]\n          \
      [--snapshot-out telemetry.jsonl] [--spans 0]\n  \
      vodsim help"
         .to_owned()
@@ -441,7 +439,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 replay_cap: opts.take_usize("replay-cap")?.unwrap_or(1_024),
                 max_restarts: opts.take_u64("max-restarts")?.unwrap_or(3) as u32,
                 run_secs: opts.take_f64("run-secs")?.unwrap_or(0.0),
-                admin_addr: opts.take_str("admin-addr")?,
             };
             opts.finish()?;
             if let Command::Serve {
@@ -675,7 +672,6 @@ pub fn run(command: &Command) -> Result<String, UsageError> {
             replay_cap,
             max_restarts,
             run_secs,
-            admin_addr,
         } => run_serve(
             addr,
             catalog.as_deref(),
@@ -688,7 +684,6 @@ pub fn run(command: &Command) -> Result<String, UsageError> {
             *replay_cap,
             *max_restarts,
             *run_secs,
-            admin_addr.as_deref(),
         ),
         Command::Vodtop {
             addr,
@@ -1157,7 +1152,6 @@ fn run_serve(
     replay_cap: usize,
     max_restarts: u32,
     run_secs: f64,
-    admin_addr: Option<&str>,
 ) -> Result<String, UsageError> {
     let catalog = match catalog_path {
         Some(path) => vod_svc::ServeCatalog::load(path)
@@ -1175,22 +1169,17 @@ fn run_serve(
         queue_cap,
         replay_cap,
         max_restarts,
-        admin_addr: admin_addr.map(str::to_owned),
         ..vod_svc::SvcConfig::default()
     };
     let service = vod_svc::Service::start(addr, &config)
         .map_err(|e| UsageError(format!("cannot bind {addr}: {e}")))?;
-    let admin_note = service
-        .admin_addr()
-        .map_or_else(String::new, |a| format!(", admin on {a}"));
     let banner = format!(
-        "vod-svc listening on {} ({} videos, {} shard(s), dilation {}x, queue cap {}{}){}",
+        "vod-svc listening on {} ({} videos, {} shard(s), dilation {}x, queue cap {}){}",
         service.local_addr(),
         config.catalog.len(),
         shards,
         dilation,
         queue_cap,
-        admin_note,
         describe_catalog(&config.catalog),
     );
     if run_secs <= 0.0 {
@@ -1230,7 +1219,7 @@ fn fmt_ns(ns: u64) -> String {
 /// How long `vodtop` waits between two snapshots.
 const VODTOP_INTERVAL: std::time::Duration = std::time::Duration::from_secs(1);
 
-/// Per-second rates between two admin snapshots of one server.
+/// Per-second rates between two snapshots of one server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct SnapshotRates {
     requests: f64,
@@ -1333,9 +1322,9 @@ fn run_vodtop(
 ) -> Result<String, UsageError> {
     use std::io::Write as _;
 
-    let scrape_err = |e: vod_svc::WireError| UsageError(format!("admin scrape failed: {e}"));
-    let mut client = vod_svc::AdminClient::connect(addr)
-        .map_err(|e| UsageError(format!("cannot reach admin plane at {addr}: {e}")))?;
+    let scrape_err = |e: std::io::Error| UsageError(format!("scrape of {addr} failed: {e}"));
+    let mut client = vod_svc::ScrapeClient::connect(addr)
+        .map_err(|e| UsageError(format!("cannot reach server at {addr}: {e}")))?;
     let mut sink = snapshot_out
         .map(|path| {
             std::fs::OpenOptions::new()
@@ -1347,11 +1336,11 @@ fn run_vodtop(
         .transpose()?;
     // Counters are cumulative: each refresh's rates are the difference
     // from the previous snapshot, so the first one is only a baseline.
-    let mut last = client.snapshot().map_err(scrape_err)?;
+    let mut last = client.stats().map_err(scrape_err)?;
     let mut rates = None;
     for _ in 0..intervals {
         std::thread::sleep(VODTOP_INTERVAL);
-        let next = client.snapshot().map_err(scrape_err)?;
+        let next = client.stats().map_err(scrape_err)?;
         rates = snapshot_rates(&last, &next);
         last = next;
         if let Some(file) = &mut sink {
@@ -1362,7 +1351,13 @@ fn run_vodtop(
                 .map_err(|e| UsageError(format!("cannot write snapshot: {e}")))?;
         }
     }
-    let mut out = render_vodtop(&last, client.shards(), rates);
+    // Every shard exports a queue-depth gauge; count them.
+    let shards = (0..)
+        .take_while(|s| {
+            vod_svc::find_gauge(&last, &format!("svc.gauge.shard{s}.queue_depth")).is_some()
+        })
+        .count() as u32;
+    let mut out = render_vodtop(&last, shards, rates);
     if spans > 0 {
         let jsonl = client.spans(spans).map_err(scrape_err)?;
         out.push_str("\nrecent spans:\n");
@@ -1417,7 +1412,6 @@ mod tests {
                 replay_cap: 1_024,
                 max_restarts: 3,
                 run_secs: 0.0,
-                admin_addr: None,
             }
         );
         match parse(&args("serve --catalog mix.toml")).unwrap() {
@@ -1439,12 +1433,6 @@ mod tests {
         assert!(parse(&args("serve --dilation 0")).is_err());
         assert!(parse(&args("serve --replay-cap 0")).is_err());
         assert!(parse(&args("serve --run-secs -1")).is_err());
-        match parse(&args("serve --admin-addr 127.0.0.1:7401")).unwrap() {
-            Command::Serve { admin_addr, .. } => {
-                assert_eq!(admin_addr.as_deref(), Some("127.0.0.1:7401"));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
     }
 
     #[test]
@@ -1488,7 +1476,7 @@ mod tests {
             l.local_addr().unwrap().to_string()
         };
         let err = run_vodtop(&addr, 1, None, 0).unwrap_err();
-        assert!(err.0.contains("cannot reach admin plane"), "{}", err.0);
+        assert!(err.0.contains("cannot reach server"), "{}", err.0);
     }
 
     #[test]
@@ -1498,11 +1486,10 @@ mod tests {
             catalog: vod_svc::ServeCatalog::uniform(2, video),
             shards: 2,
             dilation: 1_000,
-            admin_addr: Some("127.0.0.1:0".to_owned()),
             ..vod_svc::SvcConfig::default()
         };
         let service = vod_svc::Service::start("127.0.0.1:0", &config).unwrap();
-        let admin = service.admin_addr().expect("admin listener up").to_string();
+        let addr = service.local_addr().to_string();
         let report = vod_svc::run_load(
             service.local_addr(),
             &vod_svc::LoadConfig {
@@ -1522,10 +1509,18 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&out_path);
         let rendered =
-            run_vodtop(&admin, 2, Some(out_path.to_str().unwrap()), 4).expect("vodtop scrape");
+            run_vodtop(&addr, 2, Some(out_path.to_str().unwrap()), 4).expect("vodtop scrape");
         assert!(rendered.contains("decode p50/p99"), "{rendered}");
         assert!(rendered.contains("total p50/p99"), "{rendered}");
         assert!(rendered.contains("recent spans:"), "{rendered}");
+        // One table row per shard, counted from the snapshot's gauges.
+        let row_keys: Vec<&str> = rendered
+            .lines()
+            .filter_map(|line| line.split_whitespace().next())
+            .collect();
+        for (shard, present) in [("0", true), ("1", true), ("2", false)] {
+            assert_eq!(row_keys.contains(&shard), present, "{rendered}");
+        }
         let jsonl = std::fs::read_to_string(&out_path).unwrap();
         assert_eq!(jsonl.lines().count(), 2, "one JSON line per interval");
         for line in jsonl.lines() {
@@ -1536,7 +1531,7 @@ mod tests {
         let _ = service.shutdown();
     }
 
-    /// A snapshot in the admin plane's pretty JSON layout.
+    /// A snapshot in the `StatsReply` pretty JSON layout.
     fn snapshot(mono_ns: u64, requests: u64, grants: u64, bytes: u64) -> String {
         let mut r = vod_obs::Registry::new();
         r.inc("svc.snapshot.mono_ns", mono_ns);
